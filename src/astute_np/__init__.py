@@ -9,22 +9,22 @@ from .data import (L2, LINF, MOON_SCALE, Dataset, RandomStream, ScenarioSpec,
                    distance, example1_posterior, generate,
                    min_interclass_distance, pairwise_distances, read_csv,
                    write_csv)
-from .models import (GAUSSIAN, INVERSE_POLY, PLATEAU_EXAMPLE3, HistogramModel,
-                     KernelModel, KernelSpec, KnnModel, default_bandwidth,
-                     default_cell_threshold, leaf_cells, predict,
-                     predict_batch, train_histogram, train_kernel, train_knn,
-                     weights, weights_batch)
+from .models import (GAUSSIAN, INVERSE_POLY, KERNELS, MODELS, PLATEAU_EXAMPLE3,
+                     HistogramModel, KernelModel, KernelSpec, KnnModel,
+                     default_bandwidth, default_cell_threshold, make_model,
+                     predict, predict_batch, train_histogram, train_kernel,
+                     train_knn, weights, weights_batch)
 from .prune import (ConflictGraph, PrunedSet, adv_prune, build_conflict_graph,
                     max_matching, robust_accuracy_upper_bound, robust_train)
 from .attack import (CERTIFIED_ASTUTE, FOUND, UNKNOWN, AttackBudget,
-                     AttackMethodError, AttackResult, CostGuardError,
-                     grid_attack, histogram_attack, is_astute,
-                     nn1_attack_exact, resolve_attack, run_attack)
+                     AttackMethodError, AttackResult, AttackTable,
+                     CostGuardError, attack_all, grid_attack,
+                     histogram_attack, is_astute, nn1_attack_exact,
+                     resolve_attack, run_attack)
 from .evaluation import (DEFAULT_SIZES, BayesGapReport, EvalReport,
                          ProbeConfig, ProbeResult, SweepConfig, SweepResult,
                          accuracy, bayes_gap_demo, convergence_sweep,
-                         empirical_astuteness, probe_far_weight,
-                         probe_far_weight_pruned)
+                         empirical_astuteness, probe_far_weight)
 from .chart import (ACCURACY_COLOR, ASTUTENESS_COLOR, ChartSpec, Series,
                     emit_chart, render_chart, sweep_chart)
 
@@ -34,20 +34,20 @@ __all__ = [
     "L2", "LINF", "MOON_SCALE", "Dataset", "RandomStream", "ScenarioSpec",
     "distance", "example1_posterior", "generate", "min_interclass_distance",
     "pairwise_distances", "read_csv", "write_csv",
-    "GAUSSIAN", "INVERSE_POLY", "PLATEAU_EXAMPLE3", "HistogramModel",
-    "KernelModel", "KernelSpec", "KnnModel", "default_bandwidth",
-    "default_cell_threshold", "leaf_cells", "predict", "predict_batch",
-    "train_histogram", "train_kernel", "train_knn", "weights", "weights_batch",
+    "GAUSSIAN", "INVERSE_POLY", "KERNELS", "MODELS", "PLATEAU_EXAMPLE3",
+    "HistogramModel", "KernelModel", "KernelSpec", "KnnModel",
+    "default_bandwidth", "default_cell_threshold", "make_model", "predict",
+    "predict_batch", "train_histogram", "train_kernel", "train_knn", "weights",
+    "weights_batch",
     "ConflictGraph", "PrunedSet", "adv_prune", "build_conflict_graph",
     "max_matching", "robust_accuracy_upper_bound", "robust_train",
     "CERTIFIED_ASTUTE", "FOUND", "UNKNOWN", "AttackBudget",
-    "AttackMethodError", "AttackResult", "CostGuardError", "grid_attack",
-    "histogram_attack", "is_astute", "nn1_attack_exact", "resolve_attack",
-    "run_attack",
+    "AttackMethodError", "AttackResult", "AttackTable", "CostGuardError",
+    "attack_all", "grid_attack", "histogram_attack", "is_astute",
+    "nn1_attack_exact", "resolve_attack", "run_attack",
     "DEFAULT_SIZES", "BayesGapReport", "EvalReport", "ProbeConfig",
     "ProbeResult", "SweepConfig", "SweepResult", "accuracy", "bayes_gap_demo",
     "convergence_sweep", "empirical_astuteness", "probe_far_weight",
-    "probe_far_weight_pruned",
     "ACCURACY_COLOR", "ASTUTENESS_COLOR", "ChartSpec", "Series",
     "emit_chart", "render_chart", "sweep_chart",
 ]

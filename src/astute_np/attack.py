@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import L2
+from .data import L2, Dataset
 from .models import HistogramModel, KnnModel, predict, predict_batch
 
 FOUND = "found"
@@ -58,25 +58,6 @@ class AttackResult:
 
 # ---------------------------------------------------------------------------
 # histogram attack
-
-
-def linf_cell_distance(x: np.ndarray, lo: np.ndarray, side) -> np.ndarray:
-    """l-inf distance from x to each half-open cell [lo, lo+side) (0 inside).
-
-    Vectorized over a leaf array: ``lo`` is (m, d), ``side`` is (m,).
-    """
-    hi = lo + np.asarray(side).reshape(-1, 1)
-    gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-    return gap.max(axis=1)
-
-
-def cell_reachable_center_form(x: np.ndarray, lo: np.ndarray, side, r: float) -> np.ndarray:
-    """Equivalent reachability test via cell centers: for a hypercube of side
-    s centered at c, some cell point lies within r of x iff
-    linf(x, c) <= s/2 + r."""
-    side = np.asarray(side, dtype=float).reshape(-1, 1)
-    center = lo + side / 2.0
-    return np.max(np.abs(center - x), axis=1) <= side[:, 0] / 2.0 + r
 
 
 def histogram_attack(model: HistogramModel, x, y: int, budget: AttackBudget) -> AttackResult:
@@ -343,10 +324,57 @@ def is_astute(model, x, y: int, budget: AttackBudget, method: str = "auto",
               resolution: float = 1e-3) -> bool:
     """True when the prediction at x is y and no attack within budget exists.
 
-    With the grid oracle this is only an absence-of-evidence verdict; exact
-    methods genuinely certify.
+    Every attack reports a misprediction at x as FOUND at radius 0.  With the
+    grid oracle this is only an absence-of-evidence verdict; exact methods
+    genuinely certify.
     """
-    if predict(model, x) != y:
-        return False
-    result = run_attack(model, x, y, budget, method=method, resolution=resolution)
-    return not result.found
+    return not run_attack(model, x, y, budget, method=method, resolution=resolution).found
+
+
+@dataclass(frozen=True)
+class AttackTable:
+    """One attack method's verdict on every test point.
+
+    ``prediction``, ``outcome`` and ``radius`` have one entry per test row,
+    ``witness`` one row; ``radius`` and ``witness`` are NaN where no attack
+    was found.
+    """
+    method: str
+    approximate: bool
+    prediction: np.ndarray
+    outcome: np.ndarray
+    radius: np.ndarray
+    witness: np.ndarray
+
+
+def attack_all(model, test: Dataset, budget: AttackBudget, method: str = "auto",
+               resolution: float = 1e-3) -> AttackTable:
+    """Attack every test point with one method.
+
+    ``method="auto"`` takes the method ``resolve_attack`` picks; an exact
+    method that does not cover the model is rejected before any attack.
+    Duplicate (point, label) rows are attacked once and their result is
+    shared, which matters for discrete scenarios where the test set
+    collapses to a handful of distinct points.
+    """
+    resolved, approximate = resolve_attack(model)
+    if method == "grid":
+        resolved, approximate = method, True
+    elif method in ("histogram", "nn1") and method != resolved:
+        raise AttackMethodError(f"exact method {method!r} does not cover this model")
+    elif method not in ("auto", resolved):
+        raise AttackMethodError(f"unknown attack method {method!r}")
+
+    keyed = np.concatenate([test.points, test.labels[:, None].astype(float)], axis=1)
+    uniq, inverse = np.unique(keyed, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)       # numpy 2.0.0 returns it as (n, 1)
+    results = [run_attack(model, row[:-1], int(row[-1]), budget, method=resolved,
+                          resolution=resolution) for row in uniq]
+    nowhere = np.full(test.dim, np.nan)
+    return AttackTable(
+        method=resolved, approximate=approximate,
+        prediction=predict_batch(model, test.points),
+        outcome=np.array([res.outcome for res in results], dtype=object)[inverse],
+        radius=np.array([res.radius if res.found else np.nan for res in results])[inverse],
+        witness=np.array([res.witness if res.found else nowhere
+                          for res in results]).reshape(-1, test.dim)[inverse])

@@ -16,14 +16,11 @@ import numpy as np
 
 from .data import (LINF, Dataset, RandomStream, ScenarioSpec, generate,
                    read_csv, write_csv)
-from .models import (GAUSSIAN, INVERSE_POLY, PLATEAU_EXAMPLE3, KernelSpec,
-                     predict, train_histogram, train_kernel, train_knn)
-from .attack import (AttackBudget, AttackMethodError, resolve_attack,
-                     run_attack)
+from .models import GAUSSIAN, KERNELS, MODELS, make_model
+from .attack import FOUND, AttackBudget, AttackMethodError, attack_all
 from .evaluation import (DEFAULT_SIZES, ProbeConfig, SweepConfig,
                          bayes_gap_demo, convergence_sweep,
-                         empirical_astuteness, probe_far_weight,
-                         probe_far_weight_pruned)
+                         empirical_astuteness, probe_far_weight)
 from .chart import sweep_chart
 from .prune import adv_prune
 
@@ -48,18 +45,6 @@ def _cfg_guard(key: str = "parameters"):
 
 # ---------------------------------------------------------------------------
 # parameter schemas
-
-
-def _cast_int(s: str) -> int:
-    return int(s)
-
-
-def _cast_float(s: str) -> float:
-    return float(s)
-
-
-def _cast_str(s: str) -> str:
-    return s
 
 
 def _cast_bool(s: str) -> bool:
@@ -92,13 +77,25 @@ def _cast_float_list(s: str):
     return tuple(float(tok) for tok in s.split(",") if tok.strip())
 
 
+def _cast_choice(choices: tuple):
+    def cast(s: str) -> str:
+        if s not in choices:
+            raise ValueError(f"expected one of {' | '.join(choices)}")
+        return s
+    return cast
+
+
 # (key, cast, default, required, help); default is the already-cast value
+_FAMILY_KEYS = [
+    ("model", _cast_choice(MODELS), "knn", False,
+     f"classifier family: {' | '.join(MODELS)}"),
+    ("k", int, 1, False, "neighbor count for knn"),
+    ("kernel", _cast_choice(KERNELS), GAUSSIAN, False,
+     f"kernel kind: {' | '.join(KERNELS)}"),
+]
 _MODEL_KEYS = [
-    ("model", _cast_str, "knn", False, "classifier family: knn | histogram | kernel"),
-    ("k", _cast_int, 1, False, "neighbor count for knn"),
+    *_FAMILY_KEYS,
     ("kn", _cast_opt_int, None, False, "histogram split threshold (default n^(1/3) rule)"),
-    ("kernel", _cast_str, GAUSSIAN, False,
-     f"kernel kind: {GAUSSIAN} | {PLATEAU_EXAMPLE3} | {INVERSE_POLY}"),
     ("hist-root", _cast_float_list, None, False,
      "histogram root cube: d min-corner coords then the side length "
      "(default: data bounding cube)"),
@@ -106,83 +103,82 @@ _MODEL_KEYS = [
 
 _SCHEMAS = {
     "gen": [
-        ("scenario", _cast_str, None, True, "half_moons | example1 | example2 | example3"),
-        ("n", _cast_int, None, True, "sample count"),
-        ("sigma", _cast_float, 0.0, False, "half-moons noise level"),
-        ("r", _cast_float, 0.1, False, "example1 oscillation scale"),
-        ("seed", _cast_int, 0, False, "random seed"),
-        ("out", _cast_str, None, True, "output CSV path"),
+        ("scenario", str, None, True, "half_moons | example1 | example2 | example3"),
+        ("n", int, None, True, "sample count"),
+        ("sigma", float, 0.0, False, "half-moons noise level"),
+        ("r", float, 0.1, False, "example1 oscillation scale"),
+        ("seed", int, 0, False, "random seed"),
+        ("out", str, None, True, "output CSV path"),
     ],
     "train-eval": [
-        ("scenario", _cast_str, "half_moons", False, "scenario when generating data"),
-        ("n", _cast_int, 1000, False, "training size when generating"),
-        ("n-test", _cast_int, 1000, False, "test size when generating"),
-        ("sigma", _cast_float, 0.0, False, "half-moons noise level"),
-        ("scenario-r", _cast_float, 0.1, False, "example1 oscillation scale"),
-        ("train-csv", _cast_str, None, False, "training data path (overrides generation)"),
-        ("test-csv", _cast_str, None, False, "test data path (overrides generation)"),
+        ("scenario", str, "half_moons", False, "scenario when generating data"),
+        ("n", int, 1000, False, "training size when generating"),
+        ("n-test", int, 1000, False, "test size when generating"),
+        ("sigma", float, 0.0, False, "half-moons noise level"),
+        ("scenario-r", float, 0.1, False, "example1 oscillation scale"),
+        ("train-csv", str, None, False, "training data path (overrides generation)"),
+        ("test-csv", str, None, False, "test data path (overrides generation)"),
         *_MODEL_KEYS,
-        ("attack-r", _cast_float, 0.1, False, "robustness radius"),
+        ("attack-r", float, 0.1, False, "robustness radius"),
         ("prune-r", _cast_opt_float, None, False, "prune training data at this radius"),
-        ("method", _cast_str, "auto", False, "attack method: auto | histogram | nn1 | grid"),
-        ("resolution", _cast_float, 1e-3, False, "grid attack resolution"),
-        ("seed", _cast_int, 0, False, "random seed"),
-        ("out", _cast_str, None, False, "also write the report to this path"),
+        ("method", str, "auto", False, "attack method: auto | histogram | nn1 | grid"),
+        ("resolution", float, 1e-3, False, "grid attack resolution"),
+        ("seed", int, 0, False, "random seed"),
+        ("out", str, None, False, "also write the report to this path"),
     ],
     "prune": [
-        ("data", _cast_str, None, True, "input CSV path"),
-        ("r", _cast_float, None, True, "separation radius"),
-        ("metric", _cast_str, LINF, False, "l2 | linf"),
-        ("out", _cast_str, None, False, "write the kept subset to this CSV path"),
+        ("data", str, None, True, "input CSV path"),
+        ("r", float, None, True, "separation radius"),
+        ("metric", str, LINF, False, "l2 | linf"),
+        ("out", str, None, False, "write the kept subset to this CSV path"),
     ],
     "attack": [
-        ("train-csv", _cast_str, None, True, "training data path"),
-        ("test-csv", _cast_str, None, True, "points to attack"),
+        ("train-csv", str, None, True, "training data path"),
+        ("test-csv", str, None, True, "points to attack"),
         *_MODEL_KEYS,
-        ("r", _cast_float, None, True, "attack budget radius"),
-        ("method", _cast_str, "auto", False, "auto | histogram | nn1 | grid"),
-        ("resolution", _cast_float, 1e-3, False, "grid attack resolution"),
-        ("out", _cast_str, None, True, "report CSV path"),
+        ("r", float, None, True, "attack budget radius"),
+        ("method", str, "auto", False, "auto | histogram | nn1 | grid"),
+        ("resolution", float, 1e-3, False, "grid attack resolution"),
+        ("out", str, None, True, "report CSV path"),
     ],
     "sweep": [
-        ("scenario", _cast_str, "half_moons", False, "scenario"),
-        ("sigma", _cast_float, 0.0, False, "noise level"),
+        ("scenario", str, "half_moons", False, "scenario"),
+        ("sigma", float, 0.0, False, "noise level"),
         *_MODEL_KEYS,
         ("sizes", _cast_int_list, DEFAULT_SIZES, False, "comma-separated training sizes"),
-        ("repeats", _cast_int, 5, False, "repeats per size"),
-        ("n-test", _cast_int, 1000, False, "test size"),
-        ("attack-r", _cast_float, 0.1, False, "robustness radius"),
+        ("repeats", int, 5, False, "repeats per size"),
+        ("n-test", int, 1000, False, "test size"),
+        ("attack-r", float, 0.1, False, "robustness radius"),
         ("prune-r", _cast_opt_float, None, False, "prune radius (omit to disable)"),
-        ("scenario-r", _cast_float, 0.1, False, "example1 oscillation scale"),
-        ("resolution", _cast_float, 1e-3, False, "grid attack resolution"),
-        ("seed", _cast_int, 0, False, "random seed"),
-        ("out-csv", _cast_str, None, True, "results CSV path"),
-        ("out-svg", _cast_str, None, False, "chart SVG path"),
-        ("title", _cast_str, "", False, "chart title"),
+        ("scenario-r", float, 0.1, False, "example1 oscillation scale"),
+        ("resolution", float, 1e-3, False, "grid attack resolution"),
+        ("seed", int, 0, False, "random seed"),
+        ("out-csv", str, None, True, "results CSV path"),
+        ("out-svg", str, None, False, "chart SVG path"),
+        ("title", str, "", False, "chart title"),
     ],
     "probe": [
-        ("scenario", _cast_str, "half_moons", False, "scenario"),
-        ("sigma", _cast_float, 0.0, False, "noise level"),
-        ("model", _cast_str, "knn", False, "knn | kernel | histogram"),
-        ("k", _cast_int, 1, False, "neighbor count for knn"),
-        ("kernel", _cast_str, GAUSSIAN, False, "kernel kind"),
-        ("a", _cast_float, 0.05, False, "inner (perturbation) radius"),
-        ("b", _cast_float, 0.1, False, "outer (far-point) radius"),
+        ("scenario", str, "half_moons", False, "scenario"),
+        ("sigma", float, 0.0, False, "noise level"),
+        *_FAMILY_KEYS,
+        ("a", float, 0.05, False, "inner (perturbation) radius"),
+        ("b", float, 0.1, False, "outer (far-point) radius"),
         ("sizes", _cast_int_list, (100, 1000), False, "training sizes to probe"),
-        ("draws", _cast_int, 400, False, "Monte-Carlo draws per size"),
-        ("boundary", _cast_int, 64, False, "ball boundary candidates"),
-        ("interior", _cast_int, 16, False, "ball interior candidates"),
+        ("draws", int, 400, False, "Monte-Carlo draws per size"),
+        ("boundary", int, 64, False, "ball boundary candidates"),
+        ("interior", int, 16, False, "ball interior candidates"),
         ("pruned", _cast_bool, False, False, "probe the pruned-training condition"),
         ("prune-r", _cast_opt_float, None, False, "prune radius for the pruned probe"),
-        ("fixed-x", _cast_float_list, None, False, "fixed query point (comma coords)"),
-        ("scenario-r", _cast_float, 0.1, False, "example1 oscillation scale"),
-        ("seed", _cast_int, 0, False, "random seed"),
-        ("out", _cast_str, None, False, "results CSV path"),
+        ("fixed-x", _cast_float_list, None, False,
+         "fixed query point (comma coords); not with pruned = true"),
+        ("scenario-r", float, 0.1, False, "example1 oscillation scale"),
+        ("seed", int, 0, False, "random seed"),
+        ("out", str, None, False, "results CSV path"),
     ],
     "demo-example1": [
-        ("r", _cast_float, 0.1, False, "robustness radius / oscillation scale"),
-        ("n", _cast_int, 2000, False, "test draw size"),
-        ("seed", _cast_int, 0, False, "random seed"),
+        ("r", float, 0.1, False, "robustness radius / oscillation scale"),
+        ("n", int, 2000, False, "test draw size"),
+        ("seed", int, 0, False, "random seed"),
     ],
 }
 
@@ -248,22 +244,15 @@ def _build_parser() -> argparse.ArgumentParser:
 # model construction shared by subcommands
 
 
-def _train_model(params: dict, ds: Dataset):
-    model = params["model"]
-    if model == "knn":
-        return train_knn(ds, k=params["k"])
-    if model == "histogram":
-        root = None
-        raw_root = params.get("hist_root")
-        if raw_root is not None:
-            if len(raw_root) != ds.dim + 1:
-                raise ConfigError("hist-root",
-                                  f"need {ds.dim} min-corner coords plus a side length")
-            root = (np.asarray(raw_root[:-1], dtype=float), float(raw_root[-1]))
-        return train_histogram(ds, kn=params.get("kn"), root=root)
-    if model == "kernel":
-        return train_kernel(ds, KernelSpec(kind=params["kernel"]))
-    raise ConfigError("model", f"unknown model {model!r}")
+def _make_model(params: dict, ds: Dataset):
+    root = params["hist_root"]
+    if params["model"] == "histogram" and root is not None:
+        if len(root) != ds.dim + 1:
+            raise ConfigError("hist-root",
+                              f"need {ds.dim} min-corner coords plus a side length")
+        root = (np.asarray(root[:-1], dtype=float), float(root[-1]))
+    return make_model(params["model"], ds, k=params["k"], kn=params["kn"],
+                      kernel=params["kernel"], root=root)
 
 
 def _load_or_generate(params: dict, csv_key: str, n: int, stream: RandomStream) -> Dataset:
@@ -304,7 +293,7 @@ def _cmd_train_eval(params: dict) -> int:
         pruned = adv_prune(train_ds, params["prune_r"], metric=LINF)
         train_ds = train_ds.subset(pruned.kept)
         lines.append(f"kept = {len(train_ds)} ({pruned.kept_fraction:.4f})")
-    model = _train_model(params, train_ds)
+    model = _make_model(params, train_ds)
     report = empirical_astuteness(model, test_ds, budget,
                                   method=params["method"],
                                   resolution=params["resolution"])
@@ -343,25 +332,20 @@ def attack_report(model, test: Dataset, budget: AttackBudget, out_path,
     """Write one CSV row per test point; returns the non-astute count.
 
     Columns: index, label, prediction, astute, radius (blank when no attack
-    was found), witness (semicolon-joined coordinates, blank likewise).
+    was found), witness (semicolon-joined coordinates, blank likewise),
+    outcome (found | certified_astute | unknown).
     """
-    if method == "auto":
-        method, _ = resolve_attack(model)
-    lines = ["index,label,prediction,astute,radius,witness"]
-    non_astute = 0
-    for i in range(len(test)):
-        x, y = test.points[i], int(test.labels[i])
-        pred = predict(model, x)
-        res = run_attack(model, x, y, budget, method=method, resolution=resolution)
-        astute = pred == y and not res.found
-        if not astute:
-            non_astute += 1
-        radius = f"{res.radius:.17g}" if res.found else ""
-        witness = ";".join(f"{v:.17g}" for v in res.witness) if res.found else ""
-        lines.append(f"{i},{y:+d},{pred:+d},{int(astute)},{radius},{witness}")
+    table = attack_all(model, test, budget, method=method, resolution=resolution)
+    found = table.outcome == FOUND
+    lines = ["index,label,prediction,astute,radius,witness,outcome"]
+    for i, (y, pred, outcome) in enumerate(zip(test.labels, table.prediction, table.outcome)):
+        radius = f"{table.radius[i]:.17g}" if found[i] else ""
+        witness = ";".join(f"{v:.17g}" for v in table.witness[i]) if found[i] else ""
+        lines.append(f"{i},{int(y):+d},{int(pred):+d},{int(not found[i])},"
+                     f"{radius},{witness},{outcome}")
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return non_astute
+    return int(found.sum())
 
 
 def _cmd_attack(params: dict) -> int:
@@ -369,16 +353,9 @@ def _cmd_attack(params: dict) -> int:
     test_ds = read_csv(params["test_csv"])
     with _cfg_guard("r"):
         budget = AttackBudget(params["r"])
-    model = _train_model(params, train_ds)
-    method = params["method"]
-    if method == "auto":
-        method, _ = resolve_attack(model)
-    elif method in ("histogram", "nn1"):
-        auto_method, _ = resolve_attack(model)
-        if auto_method != method:
-            raise ConfigError("method", f"exact method {method!r} does not cover this model")
+    model = _make_model(params, train_ds)
     non_astute = attack_report(model, test_ds, budget, params["out"],
-                               method=method, resolution=params["resolution"])
+                               method=params["method"], resolution=params["resolution"])
     print(f"attacked {len(test_ds)} points, {non_astute} non-astute; "
           f"report at {params['out']}")
     return 0
@@ -414,14 +391,14 @@ def _cmd_probe(params: dict) -> int:
                       a=params["a"], b=params["b"], sizes=tuple(params["sizes"]),
                       draws=params["draws"], boundary_candidates=params["boundary"],
                       interior_candidates=params["interior"],
-                      prune_r=params["prune_r"], fixed_x=params["fixed_x"],
-                      scenario_r=params["scenario_r"], seed=params["seed"])
+                      prune_r=params["prune_r"] if params["pruned"] else None,
+                      fixed_x=params["fixed_x"], scenario_r=params["scenario_r"],
+                      seed=params["seed"])
     with _cfg_guard("probe"):
         cfg.validate()
         if params["pruned"] and cfg.prune_r is None:
             raise ValueError("prune-r is required when pruned = true")
-    runner = probe_far_weight_pruned if params["pruned"] else probe_far_weight
-    result = runner(cfg)
+    result = probe_far_weight(cfg)
     lines = ["n,estimate,std_error"]
     for i, n in enumerate(result.sizes):
         print(f"n={n}: estimate {result.estimates[i]:.6f} "

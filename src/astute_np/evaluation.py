@@ -19,9 +19,8 @@ import numpy as np
 
 from .data import (LINF, Dataset, RandomStream, ScenarioSpec,
                    example1_posterior, generate, pairwise_distances)
-from .models import (GAUSSIAN, KernelSpec, predict_batch, train_histogram,
-                     train_kernel, train_knn, weights)
-from .attack import AttackBudget, is_astute, resolve_attack
+from .models import GAUSSIAN, KERNELS, MODELS, make_model, predict_batch, weights
+from .attack import FOUND, AttackBudget, attack_all
 from .prune import adv_prune
 
 DEFAULT_SIZES = (20, 50, 100, 200, 500, 1000, 2000, 3000)
@@ -48,34 +47,26 @@ def accuracy(model, test: Dataset) -> float:
 
 def empirical_astuteness(model, test: Dataset, budget: AttackBudget,
                          method: str = "auto", resolution: float = 1e-3) -> EvalReport:
-    """Fraction of test points that are correctly and robustly classified.
-
-    Duplicate (point, label) rows are attacked once and their verdict
-    reused, which matters for discrete scenarios where the test set
-    collapses to a handful of distinct points.
-    """
+    """Fraction of test points that are correctly and robustly classified,
+    reduced from the per-point table of ``attack_all``."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    if method == "auto":
-        method, approximate = resolve_attack(model)
-    else:
-        approximate = method == "grid"
-
-    acc = accuracy(model, test)
-
-    keyed = np.concatenate([test.points, test.labels[:, None].astype(float)], axis=1)
-    uniq, inverse = np.unique(keyed, axis=0, return_inverse=True)
-    verdicts = np.empty(len(uniq), dtype=bool)
-    for i, row in enumerate(uniq):
-        x, y = row[:-1], int(row[-1])
-        verdicts[i] = is_astute(model, x, y, budget, method=method, resolution=resolution)
-    ast = float(np.mean(verdicts[inverse]))
-    return EvalReport(n_test=len(test), accuracy=acc, astuteness=ast,
-                      r=budget.r, method=method, approximate=approximate)
+    table = attack_all(model, test, budget, method=method, resolution=resolution)
+    return EvalReport(n_test=len(test),
+                      accuracy=float(np.mean(table.prediction == test.labels)),
+                      astuteness=float(np.mean(table.outcome != FOUND)),
+                      r=budget.r, method=table.method, approximate=table.approximate)
 
 
 # ---------------------------------------------------------------------------
 # convergence sweep
+
+
+def _check_names(model: str, kernel: str) -> None:
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +99,7 @@ class SweepConfig:
             raise ValueError("attack_r must be positive")
         if self.prune_r is not None and self.prune_r <= 0:
             raise ValueError("prune_r must be positive")
-        if self.model not in ("knn", "histogram", "kernel"):
-            raise ValueError(f"unknown model {self.model!r}")
+        _check_names(self.model, self.kernel)
 
 
 @dataclass(frozen=True)
@@ -130,14 +120,6 @@ class SweepResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def _train_for(cfg: SweepConfig, ds: Dataset):
-    if cfg.model == "knn":
-        return train_knn(ds, k=cfg.k)
-    if cfg.model == "histogram":
-        return train_histogram(ds, kn=cfg.kn)
-    return train_kernel(ds, KernelSpec(kind=cfg.kernel))
-
-
 def _sweep_cell(cfg: SweepConfig, n: int, cell: int) -> tuple:
     """One (size, repeat) job: returns (accuracy, astuteness)."""
     root = RandomStream(cfg.seed, 0)
@@ -148,7 +130,7 @@ def _sweep_cell(cfg: SweepConfig, n: int, cell: int) -> tuple:
     if cfg.prune_r is not None:
         pruned = adv_prune(train_ds, cfg.prune_r, metric=LINF)
         train_ds = train_ds.subset(pruned.kept)
-    model = _train_for(cfg, train_ds)
+    model = make_model(cfg.model, train_ds, k=cfg.k, kn=cfg.kn, kernel=cfg.kernel)
     report = empirical_astuteness(model, test_ds, AttackBudget(cfg.attack_r),
                                   resolution=cfg.resolution)
     return report.accuracy, report.astuteness
@@ -206,7 +188,6 @@ class ProbeConfig:
     draws: int = 400
     boundary_candidates: int = 64
     interior_candidates: int = 16
-    gamma: float = 0.05          # analysis margin, carried but unused here
     prune_r: Optional[float] = None
     fixed_x: Optional[tuple] = None
     scenario_r: float = 0.1
@@ -219,6 +200,10 @@ class ProbeConfig:
             raise ValueError("counts must be positive")
         if not self.sizes or any(n <= 0 for n in self.sizes):
             raise ValueError("sizes must be positive")
+        if self.prune_r is not None and self.fixed_x is not None:
+            raise ValueError("fixed_x and prune_r exclude each other: "
+                             "the pruned probe averages over the pruned points")
+        _check_names(self.model, self.kernel)
 
 
 @dataclass(frozen=True)
@@ -258,9 +243,12 @@ def _far_weight_sup(model, train_pts: np.ndarray, cands: np.ndarray, b: float) -
 def probe_far_weight(cfg: ProbeConfig) -> ProbeResult:
     """Monte-Carlo estimate of the expected far-weight supremum per size.
 
-    Each draw uses a fresh training set and a fresh query (or the fixed
-    query from the config); the supremum over the ball is lower-bounded by
-    a finite candidate set, which is all the trend assertions need.
+    Each draw uses a fresh training set.  Without ``cfg.prune_r`` the outer
+    average is over one fresh query (or the fixed query from the config).
+    With it, weights come from a model trained on the pruned set and the
+    outer average runs over the pruned points themselves.  The supremum
+    over the ball is lower-bounded by a finite candidate set, which is all
+    the trend assertions need.
     """
     cfg.validate()
     root = RandomStream(cfg.seed, 0)
@@ -269,67 +257,29 @@ def probe_far_weight(cfg: ProbeConfig) -> ProbeResult:
     for i, n in enumerate(cfg.sizes):
         vals = np.empty(cfg.draws)
         for j in range(cfg.draws):
-            s_stream = root.child(i * 300000 + 3 * j)
-            q_stream = root.child(i * 300000 + 3 * j + 1)
-            c_rng = root.child(i * 300000 + 3 * j + 2).generator()
+            stream = i * 300000 + 3 * j
             ds = generate(ScenarioSpec(cfg.scenario, n, sigma=cfg.sigma, r=cfg.scenario_r),
-                          s_stream)
-            model = _probe_model(cfg, ds)
-            if cfg.fixed_x is not None:
-                x = np.asarray(cfg.fixed_x, dtype=float)
+                          root.child(stream))
+            if cfg.prune_r is not None:
+                ds = ds.subset(adv_prune(ds, cfg.prune_r, metric=LINF).kept)
+                queries = ds.points
+            elif cfg.fixed_x is not None:
+                queries = [np.asarray(cfg.fixed_x, dtype=float)]
             else:
-                x = generate(ScenarioSpec(cfg.scenario, 1, sigma=cfg.sigma, r=cfg.scenario_r),
-                             q_stream).points[0]
-            cands = _ball_candidates(x, cfg.a, cfg.boundary_candidates,
-                                     cfg.interior_candidates, c_rng)
-            vals[j] = _far_weight_sup(model, ds.points, cands, cfg.b)
-        est[i] = vals.mean()
-        se[i] = vals.std(ddof=1) / np.sqrt(cfg.draws) if cfg.draws > 1 else 0.0
-    return ProbeResult(sizes=tuple(cfg.sizes), estimates=est, std_errors=se)
-
-
-def probe_far_weight_pruned(cfg: ProbeConfig) -> ProbeResult:
-    """Far-weight probe for the pruned-training regime.
-
-    Weights come from a model trained on the pruned set, and the outer
-    average runs over the pruned points themselves instead of fresh query
-    draws.  Needs cfg.prune_r.
-    """
-    cfg.validate()
-    if cfg.prune_r is None:
-        raise ValueError("prune_r is required for the pruned probe")
-    root = RandomStream(cfg.seed, 0)
-    est = np.empty(len(cfg.sizes))
-    se = np.empty(len(cfg.sizes))
-    for i, n in enumerate(cfg.sizes):
-        vals = np.empty(cfg.draws)
-        for j in range(cfg.draws):
-            s_stream = root.child(i * 300000 + 3 * j)
-            c_rng = root.child(i * 300000 + 3 * j + 2).generator()
-            ds = generate(ScenarioSpec(cfg.scenario, n, sigma=cfg.sigma, r=cfg.scenario_r),
-                          s_stream)
-            kept = adv_prune(ds, cfg.prune_r, metric=LINF).kept
-            pruned_ds = ds.subset(kept)
-            model = _probe_model(cfg, pruned_ds)
+                queries = generate(ScenarioSpec(cfg.scenario, 1, sigma=cfg.sigma,
+                                                r=cfg.scenario_r),
+                                   root.child(stream + 1)).points
+            c_rng = root.child(stream + 2).generator()
+            model = make_model(cfg.model, ds, k=cfg.k, kernel=cfg.kernel)
             total = 0.0
-            for x in pruned_ds.points:
+            for x in queries:
                 cands = _ball_candidates(x, cfg.a, cfg.boundary_candidates,
                                          cfg.interior_candidates, c_rng)
-                total += _far_weight_sup(model, pruned_ds.points, cands, cfg.b)
-            vals[j] = total / len(pruned_ds)
+                total += _far_weight_sup(model, ds.points, cands, cfg.b)
+            vals[j] = total / len(queries)
         est[i] = vals.mean()
         se[i] = vals.std(ddof=1) / np.sqrt(cfg.draws) if cfg.draws > 1 else 0.0
     return ProbeResult(sizes=tuple(cfg.sizes), estimates=est, std_errors=se)
-
-
-def _probe_model(cfg: ProbeConfig, ds: Dataset):
-    if cfg.model == "knn":
-        return train_knn(ds, k=cfg.k)
-    if cfg.model == "kernel":
-        return train_kernel(ds, KernelSpec(kind=cfg.kernel))
-    if cfg.model == "histogram":
-        return train_histogram(ds)
-    raise ValueError(f"unknown model {cfg.model!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from .data import Dataset, L2, LINF, pairwise_distances
 GAUSSIAN = "gaussian"
 PLATEAU_EXAMPLE3 = "plateau_example3"
 INVERSE_POLY = "inverse_poly"
+KERNELS = (GAUSSIAN, PLATEAU_EXAMPLE3, INVERSE_POLY)
+MODELS = ("knn", "histogram", "kernel")
 
 
 def default_bandwidth(n: int, d: int) -> float:
@@ -263,16 +265,20 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
     )
 
 
-def leaf_cells(model: HistogramModel):
-    """Every leaf as ``(lo, side, label)``; empty leaves carry label -1.
+def make_model(kind: str, ds: Dataset, *, k: int = 1, kn: Optional[int] = None,
+               kernel: str = GAUSSIAN, root: Optional[tuple] = None):
+    """Train the ``kind`` family (one of ``MODELS``) on ``ds``.
 
-    The returned cells partition the root cell exactly; together with the
-    -1 exterior they tile all of space, which is what the attack module
-    iterates over.
+    ``k`` applies to knn, ``kn`` and ``root`` to histogram, ``kernel`` (one
+    of ``KERNELS``) to kernel; the others are ignored.
     """
-    labels = np.where(model.leaf_vote > 0, 1, -1)
-    return [(model.leaf_lo[i], float(model.leaf_side[i]), int(labels[i]))
-            for i in range(len(model.leaf_vote))]
+    if kind == "knn":
+        return train_knn(ds, k=k)
+    if kind == "histogram":
+        return train_histogram(ds, kn=kn, root=root)
+    if kind == "kernel":
+        return train_kernel(ds, KernelSpec(kind=kernel))
+    raise ValueError(f"unknown model {kind!r}")
 
 
 # ---------------------------------------------------------------------------

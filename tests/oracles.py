@@ -74,6 +74,37 @@ def kernel_weights_oracle(points, query, log_kernel, h: float, dist=l2) -> np.nd
     return vals / vals.sum()
 
 
+def linf_cell_distance(x: np.ndarray, lo: np.ndarray, side) -> np.ndarray:
+    """l-inf distance from x to each half-open cell [lo, lo+side) (0 inside).
+
+    Vectorized over a leaf array: ``lo`` is (m, d), ``side`` is (m,).
+    """
+    hi = lo + np.asarray(side).reshape(-1, 1)
+    gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+    return gap.max(axis=1)
+
+
+def cell_reachable_center_form(x: np.ndarray, lo: np.ndarray, side, r: float) -> np.ndarray:
+    """Equivalent reachability test via cell centers: for a hypercube of side
+    s centered at c, some cell point lies within r of x iff
+    linf(x, c) <= s/2 + r."""
+    side = np.asarray(side, dtype=float).reshape(-1, 1)
+    center = lo + side / 2.0
+    return np.max(np.abs(center - x), axis=1) <= side[:, 0] / 2.0 + r
+
+
+def leaf_cells(model):
+    """Every histogram leaf as ``(lo, side, label)``; empty leaves carry
+    label -1.
+
+    The returned cells partition the root cell exactly; together with the
+    -1 exterior they tile all of space.
+    """
+    labels = np.where(model.leaf_vote > 0, 1, -1)
+    return [(model.leaf_lo[i], float(model.leaf_side[i]), int(labels[i]))
+            for i in range(len(model.leaf_vote))]
+
+
 def grid_misprediction_radius(predict_fn, x, y: int, r: float, resolution: float):
     """Smallest grid radius at which predict_fn disagrees with y, or None.
 

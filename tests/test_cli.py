@@ -107,6 +107,16 @@ def test_train_eval_report(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith(text.strip().split("\n")[-1])
 
 
+def test_train_eval_bad_kernel_exits_2_before_drawing_data(monkeypatch, capsys):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data drawn before the kernel name was checked")
+    monkeypatch.setattr("astute_np.cli.generate", no_data)
+    rc = main(["train-eval", "--n", "20", "--n-test", "5", "--model", "kernel",
+               "--kernel", "bogus"])
+    assert rc == 2
+    assert "key 'kernel'" in capsys.readouterr().err
+
+
 def test_train_eval_method_mismatch_exits_2(capsys):
     rc = main(["train-eval", "--scenario", "half_moons", "--n", "60",
                "--n-test", "10", "--model", "knn", "--k", "3",
@@ -163,6 +173,8 @@ def test_attack_report_example2(tmp_path, capsys):
     assert 0.12 <= non_astute / 500 <= 0.30
     for row in rows:
         assert row["label"] in ("+1", "-1") and row["prediction"] in ("+1", "-1")
+        # the exact histogram attack certifies every point it cannot break
+        assert row["outcome"] == ("certified_astute" if row["astute"] == "1" else "found")
         if row["astute"] == "1":
             assert row["radius"] == "" and row["witness"] == ""
         elif row["radius"] != "":
@@ -170,6 +182,26 @@ def test_attack_report_example2(tmp_path, capsys):
             coords = [float(tok) for tok in row["witness"].split(";")]
             assert len(coords) == 1
     assert "non-astute" in capsys.readouterr().out
+
+
+def test_attack_report_grid_outcomes(tmp_path):
+    train = _gen(tmp_path, "train.csv", "half_moons", 60)
+    test = _gen(tmp_path, "test.csv", "half_moons", 20, seed=1)
+    out = tmp_path / "attacks.csv"
+    rc = main(["attack", "--train-csv", str(train), "--test-csv", str(test),
+               "--model", "knn", "--k", "3", "--method", "grid",
+               "--resolution", "0.05", "--r", "0.1", "--out", str(out)])
+    assert rc == 0
+    with open(out) as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == ["index", "label", "prediction", "astute",
+                                     "radius", "witness", "outcome"]
+        rows = list(reader)
+    # a clean grid scan is unknown, never certified, yet still counts astute
+    assert {row["outcome"] for row in rows} <= {"found", "unknown"}
+    assert any(row["outcome"] == "unknown" for row in rows)
+    for row in rows:
+        assert row["astute"] == ("0" if row["outcome"] == "found" else "1")
 
 
 def test_attack_hist_root_must_match_dimension(tmp_path, capsys):
@@ -234,6 +266,12 @@ def test_probe_writes_csv(tmp_path, capsys):
     assert lines[0] == "n,estimate,std_error"
     assert lines[1].startswith("20,0,")
     assert "estimate 0.000000" in capsys.readouterr().out
+
+
+def test_probe_unknown_model_exits_2(capsys):
+    rc = main(["probe", "--model", "bogus", "--sizes", "20", "--draws", "1"])
+    assert rc == 2
+    assert "key 'model'" in capsys.readouterr().err
 
 
 def test_probe_pruned_needs_radius(capsys):

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from astute_np import (AttackBudget, Dataset, ProbeConfig, RandomStream,
+from astute_np import (FOUND, AttackBudget, Dataset, ProbeConfig, RandomStream,
                        ScenarioSpec, SweepConfig, accuracy, adv_prune,
-                       bayes_gap_demo, convergence_sweep, empirical_astuteness,
-                       generate, is_astute, probe_far_weight,
-                       probe_far_weight_pruned, robust_accuracy_upper_bound,
-                       train_histogram, train_knn)
+                       attack_all, bayes_gap_demo, convergence_sweep,
+                       empirical_astuteness, generate, is_astute, predict,
+                       probe_far_weight, robust_accuracy_upper_bound,
+                       run_attack, train_histogram, train_knn)
 from astute_np.evaluation import SWEEP_CSV_HEADER
 
 import oracles
@@ -89,6 +89,34 @@ def test_duplicate_rows_share_verdicts():
     assert rep.astuteness == pytest.approx(float(direct), abs=1e-12)
 
 
+@pytest.mark.parametrize("family", ["histogram", "nn1", "grid"])
+def test_attack_all_matches_run_attack(family):
+    ds = _random_ds(33, n=30)
+    model = train_knn(ds, k=1) if family == "nn1" else train_histogram(ds)
+    method = "grid" if family == "grid" else "auto"
+    base = _random_ds(34, n=8)
+    # a training point with the opposite label is mispredicted at radius 0
+    points = np.vstack([base.points, ds.points[:1]])
+    labels = np.concatenate([base.labels, -ds.labels[:1]])
+    rep_idx = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 3, 3, 8])
+    test = Dataset(points[rep_idx], labels[rep_idx])
+    budget = AttackBudget(0.1)
+    table = attack_all(model, test, budget, method=method, resolution=0.02)
+    assert table.method == family and table.approximate == (family == "grid")
+    assert np.array_equal(table.prediction, [predict(model, x) for x in test.points])
+    assert table.prediction[-1] != test.labels[-1]
+    assert table.outcome[-1] == FOUND and table.radius[-1] == 0.0
+    for i in range(len(test)):
+        res = run_attack(model, test.points[i], int(test.labels[i]), budget,
+                         method=method, resolution=0.02)
+        assert table.outcome[i] == res.outcome
+        if res.found:
+            assert table.radius[i] == res.radius
+            assert np.array_equal(table.witness[i], res.witness)
+        else:
+            assert np.isnan(table.radius[i]) and np.all(np.isnan(table.witness[i]))
+
+
 def test_train_astuteness_bounded_by_pruning_fraction():
     # no rule can beat the separated-subset fraction on its own sample
     for seed in range(3):
@@ -165,6 +193,7 @@ def test_sweep_prune_path(monkeypatch):
     dict(attack_r=0.0),
     dict(prune_r=-1.0),
     dict(model="forest"),
+    dict(kernel="bogus"),
 ])
 def test_sweep_config_validation(bad):
     with pytest.raises(ValueError):
@@ -222,25 +251,49 @@ def test_probe_validation():
         probe_far_weight(ProbeConfig(draws=0))
     with pytest.raises(ValueError):
         probe_far_weight(ProbeConfig(sizes=()))
+    with pytest.raises(ValueError, match="unknown model"):
+        probe_far_weight(ProbeConfig(model="forest"))
+    with pytest.raises(ValueError, match="unknown kernel"):
+        probe_far_weight(ProbeConfig(model="kernel", kernel="bogus"))
 
 
-def test_pruned_probe_requires_radius():
-    with pytest.raises(ValueError):
-        probe_far_weight_pruned(ProbeConfig(prune_r=None))
+def test_pruned_probe_rejects_fixed_query():
+    # the pruned probe averages over the pruned points, so a fixed query
+    # would be silently ignored
+    with pytest.raises(ValueError, match="fixed_x"):
+        probe_far_weight(ProbeConfig(prune_r=0.1, fixed_x=(0.5, 0.5)))
 
 
 def test_pruned_probe_zero_when_nothing_is_far():
     cfg = ProbeConfig(scenario="half_moons", model="knn", k=1, a=0.05, b=10.0,
                       sizes=(25,), draws=2, prune_r=0.05, seed=2)
-    res = probe_far_weight_pruned(cfg)
+    res = probe_far_weight(cfg)
     assert np.all(res.estimates == 0.0)
 
 
 def test_pruned_probe_in_unit_interval():
     cfg = ProbeConfig(scenario="half_moons", model="knn", k=1, a=0.05, b=0.1,
                       sizes=(30,), draws=2, prune_r=0.1, seed=4)
-    res = probe_far_weight_pruned(cfg)
+    res = probe_far_weight(cfg)
     assert np.all((res.estimates >= 0.0) & (res.estimates <= 1.0))
+
+
+@pytest.mark.parametrize("model, extra, estimates, std_errors", [
+    ("kernel", dict(b=0.1),
+     ("0x1.b4516c5898428p-1", "0x1.b6998817dc1dcp-1"),
+     ("0x1.63661f3f51e07p-9", "0x1.32eeea9acd084p-8")),
+    ("knn", dict(k=3, b=0.06),
+     ("0x1.4d203b9e5f557p-1", "0x1.4376e8302adc6p-1"),
+     ("0x1.1beae45458487p-8", "0x1.173665152bf84p-11")),
+])
+def test_pruned_probe_pinned_values(model, extra, estimates, std_errors):
+    # recorded with the separate pruned-probe implementation the unified
+    # probe replaced; the random streams and the averaging must not move
+    cfg = ProbeConfig(model=model, sizes=(30, 60), draws=3, prune_r=0.1,
+                      sigma=0.08, a=0.05, seed=4, **extra)
+    res = probe_far_weight(cfg)
+    assert tuple(float(v).hex() for v in res.estimates) == estimates
+    assert tuple(float(v).hex() for v in res.std_errors) == std_errors
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from astute_np import (GAUSSIAN, INVERSE_POLY, L2, LINF, PLATEAU_EXAMPLE3,
                        Dataset, KernelSpec, RandomStream, ScenarioSpec,
                        default_bandwidth, default_cell_threshold, generate,
-                       leaf_cells, predict, predict_batch, train_histogram,
+                       predict, predict_batch, train_histogram,
                        train_kernel, train_knn, weights, weights_batch)
 
 import oracles
@@ -166,7 +166,7 @@ def test_default_cell_threshold_rule():
 def test_histogram_single_leaf_when_small():
     ds = _random_ds(12, n=4)
     model = train_histogram(ds, kn=10)
-    cells = leaf_cells(model)
+    cells = oracles.leaf_cells(model)
     assert len(cells) == 1
     lo, side, label = cells[0]
     vote = int(ds.labels.sum())
@@ -191,7 +191,7 @@ def test_histogram_partition_invariants():
 def test_histogram_cells_tile_root():
     ds = _random_ds(30, n=80)
     model = train_histogram(ds)
-    cells = leaf_cells(model)
+    cells = oracles.leaf_cells(model)
     rng = np.random.default_rng(31)
     qs = rng.uniform(model.root_lo, model.root_lo + model.root_side, (300, 2))
     for q in qs:
@@ -213,7 +213,7 @@ def test_histogram_empty_leaf_defaults_negative():
                           [[0.9, 0.9]] * 2])
     ds = Dataset(pts, np.ones(12, dtype=int))
     model = train_histogram(ds, kn=3)
-    labels = [label for _, _, label in leaf_cells(model)]
+    labels = [label for _, _, label in oracles.leaf_cells(model)]
     assert -1 in labels  # some empty region exists and votes -1
 
 
@@ -227,7 +227,7 @@ def test_histogram_explicit_root_override():
     ds = generate(ScenarioSpec("example2", 4000), RandomStream(0, 0))
     model = train_histogram(ds, root=(np.array([0.0]), 1.0))
     # the support gap produces an empty cell exactly on [0.25, 0.5)
-    gap = [(lo, side) for lo, side, label in leaf_cells(model)
+    gap = [(lo, side) for lo, side, label in oracles.leaf_cells(model)
            if label == -1 and lo[0] == 0.25 and side == 0.25]
     assert gap, "expected the empty quarter cell on [0.25, 0.5)"
     assert predict(model, [0.3]) == -1
