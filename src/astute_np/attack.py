@@ -69,7 +69,12 @@ def histogram_attack(model: HistogramModel, x, y: int, budget: AttackBudget) -> 
     inside the open faces so that it actually misclassifies.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    if predict(model, x) != y:
+    rlo = model.root_lo
+    rhi = model.root_lo + model.root_side
+    # the model predicts -1 outside the root and each leaf's label inside
+    # it, so x is mispredicted iff it lies in a target leaf's box or, for
+    # y = +1, outside the root
+    if y == 1 and (np.any(x < rlo) or np.any(x >= rhi)):
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
 
     best = np.inf
@@ -78,7 +83,7 @@ def histogram_attack(model: HistogramModel, x, y: int, budget: AttackBudget) -> 
     labels = np.where(model.leaf_vote > 0, 1, -1)
     target = labels != y
     if np.any(target):
-        # leaf_hi holds the walk's own boundary values, so clipping into
+        # leaf_hi holds the exact split boundaries, so clipping into
         # [lo, hi) lands in the leaf with certainty, not merely up to an ulp
         lo = model.leaf_lo[target]
         hi = model.leaf_hi[target]
@@ -86,13 +91,17 @@ def histogram_attack(model: HistogramModel, x, y: int, budget: AttackBudget) -> 
         dists = gap.max(axis=1)
         j = int(np.argmin(dists))
         best = float(dists[j])
+        if best == 0.0:
+            # distance 0 means x is in a closed box; in the half-open one
+            # it is already mispredicted
+            touching = dists == 0.0
+            if np.any(np.all(x < hi[touching], axis=1)):
+                return AttackResult(FOUND, witness=x.copy(), radius=0.0)
         # clip into the cell, then back off the open upper faces by one ulp
         w = np.minimum(np.maximum(x, lo[j]), np.nextafter(hi[j], -np.inf))
         witness = w
 
     if y == 1:
-        rlo = model.root_lo
-        rhi = model.root_lo + model.root_side
         low_gap = x - rlo          # crossing below lo: open side
         high_gap = rhi - x         # reaching hi exactly is already outside
         j_low = int(np.argmin(low_gap))
@@ -254,6 +263,31 @@ def nn1_attack_exact(model: KnnModel, x, y: int, budget: AttackBudget) -> Attack
 # grid oracle
 
 
+def _prepend(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each value followed by every row, value-major."""
+    return np.column_stack([np.repeat(values, len(rows)),
+                            np.tile(rows, (len(values), 1))])
+
+
+def _shell_offsets(k: int, d: int) -> np.ndarray:
+    """Integer offsets o in {-k..k}^d with max|o| = k, as float rows in
+    lexicographic order (the last coordinate varies fastest).
+
+    Built one leading coordinate at a time: a first coordinate of -k or k
+    takes every tail in the lower-dimensional cube, one in between only the
+    tails on its shell.  The work is linear in the shell's size, where
+    filtering the whole cube would be quadratic over a scan's shells.
+    """
+    axis = np.arange(-k, k + 1, dtype=float)
+    cube, shell = np.zeros((1, 0)), np.zeros((0, 0))
+    for m in range(d):
+        if m:
+            cube = _prepend(axis, cube)
+        shell = np.concatenate([_prepend(axis[:1], cube), _prepend(axis[1:-1], shell),
+                                _prepend(axis[-1:], cube)])
+    return shell
+
+
 def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float,
                 max_points: int = 2_000_000) -> AttackResult:
     """Scan the l-inf ball on a regular grid, nearest shells first.
@@ -278,9 +312,7 @@ def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float,
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
 
     for k in range(1, steps + 1):
-        shell = [off for off in itertools.product(range(-k, k + 1), repeat=d)
-                 if max(abs(o) for o in off) == k]
-        offsets = np.array(shell, dtype=float) * resolution
+        offsets = _shell_offsets(k, d) * resolution
         queries = x + offsets
         preds = predict_batch(model, queries)
         hits = np.flatnonzero(preds != y)

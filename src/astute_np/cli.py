@@ -386,12 +386,14 @@ def _cmd_sweep(params: dict) -> int:
 
 
 def _cmd_probe(params: dict) -> int:
+    if params["prune_r"] is not None and not params["pruned"]:
+        raise ConfigError("prune-r", "only applies with pruned = true")
     cfg = ProbeConfig(scenario=params["scenario"], sigma=params["sigma"],
                       model=params["model"], k=params["k"], kernel=params["kernel"],
                       a=params["a"], b=params["b"], sizes=tuple(params["sizes"]),
                       draws=params["draws"], boundary_candidates=params["boundary"],
                       interior_candidates=params["interior"],
-                      prune_r=params["prune_r"] if params["pruned"] else None,
+                      prune_r=params["prune_r"],
                       fixed_x=params["fixed_x"], scenario_r=params["scenario_r"],
                       seed=params["seed"])
     with _cfg_guard("probe"):

@@ -84,6 +84,10 @@ class KernelSpec:
     p: float = 2.0
     bandwidth_rule: Callable[[int, int], float] = default_bandwidth
 
+    def __post_init__(self):
+        if self.kind not in KERNELS:
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+
     def log_kernel(self, u: np.ndarray) -> np.ndarray:
         """log K(u) for scaled distances u >= 0."""
         if self.kind == GAUSSIAN:
@@ -126,17 +130,9 @@ def train_kernel(ds: Dataset, spec: Optional[KernelSpec] = None,
 # recursive histogram
 
 
-class _Cell:
-    __slots__ = ("lo", "hi", "side", "children", "leaf_id")
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, side: float):
-        self.lo = lo
-        # hi carries the exact per-coordinate upper boundaries used by the
-        # tree walk; recomputing lo + side can drift by an ulp
-        self.hi = hi
-        self.side = side
-        self.children: Optional[list] = None
-        self.leaf_id: int = -1
+# rows x leaves booleans per block of the batched leaf lookup; caps the
+# lookup's temporaries near 1 MB whatever the query count
+_LOOKUP_CELLS = 1 << 20
 
 
 @dataclass
@@ -145,35 +141,45 @@ class HistogramModel:
     kn: int
     root_lo: np.ndarray
     root_side: float
-    # parallel per-leaf arrays; leaf_hi holds the exact upper boundaries of
-    # each half-open leaf as the tree walk sees them (lo + side only up to
-    # rounding), so [leaf_lo, leaf_hi) is the true predicted region
+    # parallel per-leaf arrays; leaf_lo / leaf_hi hold the exact split
+    # boundaries (each a ``lo + half`` computed once while training; lo +
+    # side only up to rounding), so the half-open boxes [leaf_lo, leaf_hi)
+    # partition the root cell and are exactly the predicted regions
     leaf_lo: np.ndarray = field(repr=False, default=None)
     leaf_hi: np.ndarray = field(repr=False, default=None)
     leaf_side: np.ndarray = field(repr=False, default=None)
     leaf_vote: np.ndarray = field(repr=False, default=None)
     leaf_count: np.ndarray = field(repr=False, default=None)
     leaf_members: list = field(repr=False, default=None)
-    _root_cell: _Cell = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
         return len(self.train)
 
-    def leaf_index(self, x: np.ndarray) -> int:
-        """Leaf containing x, or -1 when x is outside the root cell."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if np.any(x < self.root_lo) or np.any(x >= self.root_lo + self.root_side):
-            return -1
-        cell = self._root_cell
-        while cell.children is not None:
-            half = cell.side / 2.0
-            code = 0
-            for j in range(x.shape[0]):
-                if x[j] >= cell.lo[j] + half:
-                    code |= 1 << j
-            cell = cell.children[code]
-        return cell.leaf_id
+    def leaf_index(self, queries: np.ndarray) -> np.ndarray:
+        """Leaf containing each query row, or -1 outside the root cell.
+
+        A row lies in leaf i iff leaf_lo[i] <= x < leaf_hi[i] in every
+        coordinate; the boxes partition the root, so at most one matches.
+        """
+        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        lo, hi = np.ascontiguousarray(self.leaf_lo.T), np.ascontiguousarray(self.leaf_hi.T)
+        d, leaves = lo.shape
+        if queries.shape[1] != d:
+            raise ValueError("query dimension mismatch")
+        out = np.full(len(queries), -1, dtype=np.intp)
+        rows = max(1, _LOOKUP_CELLS // leaves)
+        for start in range(0, len(queries), rows):
+            block = queries[start:start + rows]
+            inside = np.ones((len(block), leaves), dtype=bool)
+            for j in range(d):
+                col = block[:, j:j + 1]
+                inside &= lo[j] <= col
+                inside &= col < hi[j]
+            first = inside.argmax(axis=1)
+            hit = inside[np.arange(len(block)), first]
+            out[start:start + len(block)][hit] = first[hit]
+        return out
 
 
 def train_histogram(ds: Dataset, kn: Optional[int] = None,
@@ -189,7 +195,9 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
     cell holding strictly more than ``kn`` points is split into 2^d equal
     half-open children.  Splitting also stops when a cell's occupants are all
     coincident or its side underflows, which keeps duplicated points (point
-    masses) from recursing forever.
+    masses) from splitting forever.  Leaves are numbered in depth-first
+    order, children in ascending order of their bit code (bit j set for the
+    upper half in coordinate j).
     """
     if len(ds) == 0:
         raise ValueError("empty training set")
@@ -218,50 +226,42 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
     leaf_lo, leaf_hi, leaf_side = [], [], []
     leaf_vote, leaf_count, leaf_members = [], [], []
 
-    def build(cell: _Cell, idx: np.ndarray) -> None:
+    # bit j of child code c: the child is the upper half in coordinate j
+    code_bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1 == 1
+    # explicit depth-first stack of (lo, hi, side, member indices); children
+    # are pushed in reverse so they pop in ascending code order
+    stack = [(lo.copy(), lo + side, side, np.arange(len(ds)))]
+    while stack:
+        clo, chi, cside, idx = stack.pop()
+        sub = pts[idx]
         splittable = (
             len(idx) > kn
-            and cell.side > 1e-12
-            and (len(idx) == 0 or float(np.max(pts[idx].max(axis=0) - pts[idx].min(axis=0))) > 0.0)
+            and cside > 1e-12
+            and float(np.max(sub.max(axis=0) - sub.min(axis=0))) > 0.0
         )
-        if splittable:
-            half = cell.side / 2.0
-            cell.children = []
-            sub = pts[idx]
-            for code in range(1 << d):
-                clo = cell.lo.copy()
-                chi = cell.hi.copy()
-                mask = np.ones(len(idx), dtype=bool)
-                for j in range(d):
-                    # the same float expression the tree walk compares
-                    # against, so stored boundaries match it bit for bit
-                    mid = cell.lo[j] + half
-                    if code & (1 << j):
-                        clo[j] = mid
-                        mask &= sub[:, j] >= mid
-                    else:
-                        chi[j] = mid
-                        mask &= sub[:, j] < mid
-                child = _Cell(clo, chi, half)
-                cell.children.append(child)
-                build(child, idx[mask])
-        else:
-            cell.leaf_id = len(leaf_lo)
-            leaf_lo.append(cell.lo)
-            leaf_hi.append(cell.hi)
-            leaf_side.append(cell.side)
+        if not splittable:
+            leaf_lo.append(clo)
+            leaf_hi.append(chi)
+            leaf_side.append(cside)
             leaf_vote.append(int(ds.labels[idx].sum()) if len(idx) else 0)
             leaf_count.append(len(idx))
             leaf_members.append(idx)
+            continue
+        half = cside / 2.0
+        # the children's boxes meet exactly at this float value, which both
+        # the split and every later lookup compare against
+        mid = clo + half
+        upper = sub >= mid
+        stack.extend((np.where(bits, mid, clo), np.where(bits, chi, mid), half,
+                      idx[np.all(upper == bits, axis=1)])
+                     for bits in code_bits[::-1])
 
-    root_cell = _Cell(lo.copy(), lo + side, side)
-    build(root_cell, np.arange(len(ds)))
     return HistogramModel(
         train=ds, kn=kn, root_lo=lo, root_side=side,
         leaf_lo=np.array(leaf_lo), leaf_hi=np.array(leaf_hi),
         leaf_side=np.array(leaf_side),
         leaf_vote=np.array(leaf_vote), leaf_count=np.array(leaf_count),
-        leaf_members=leaf_members, _root_cell=root_cell,
+        leaf_members=leaf_members,
     )
 
 
@@ -316,10 +316,11 @@ def weights_batch(model, queries: np.ndarray) -> np.ndarray:
         k = np.exp(logk)
         return k / k.sum(axis=1, keepdims=True)
     if isinstance(model, HistogramModel):
-        for i in range(m):
-            leaf = model.leaf_index(queries[i])
-            if leaf >= 0 and model.leaf_count[leaf] > 0:
-                out[i, model.leaf_members[leaf]] = 1.0 / model.leaf_count[leaf]
+        leaves = model.leaf_index(queries)
+        for leaf in np.unique(leaves[leaves >= 0]):
+            if model.leaf_count[leaf] > 0:
+                rows = np.flatnonzero(leaves == leaf)
+                out[np.ix_(rows, model.leaf_members[leaf])] = 1.0 / model.leaf_count[leaf]
         return out
     raise TypeError(f"unknown model type {type(model).__name__}")
 
@@ -337,11 +338,9 @@ def predict_batch(model, queries: np.ndarray) -> np.ndarray:
         votes = model.train.labels[rows].sum(axis=1)
         return np.where(votes > 0, 1, -1).astype(np.int8)
     if isinstance(model, HistogramModel):
-        preds = np.empty(queries.shape[0], dtype=np.int8)
-        for i in range(queries.shape[0]):
-            leaf = model.leaf_index(queries[i])
-            preds[i] = 1 if (leaf >= 0 and model.leaf_vote[leaf] > 0) else -1
-        return preds
+        leaves = model.leaf_index(queries)
+        positive = (leaves >= 0) & (model.leaf_vote[leaves] > 0)
+        return np.where(positive, 1, -1).astype(np.int8)
     w = weights_batch(model, queries)
     votes = w @ model.train.labels.astype(float)
     return np.where(votes > 0, 1, -1).astype(np.int8)

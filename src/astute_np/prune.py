@@ -98,15 +98,31 @@ def max_matching(g: ConflictGraph) -> tuple[list, list]:
                     q.append(w)
         return reachable_free
 
-    def dfs(u: int) -> bool:
-        for v in g.adj[u]:
-            w = pair_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_l[u] = v
-                pair_r[v] = u
-                return True
-        dist[u] = INF
-        return False
+    def dfs(root: int) -> None:
+        # depth-first search kept on an explicit stack of (vertex, adjacency
+        # iterator), so an augmenting path may outgrow the recursion limit;
+        # via[i] is the right vertex leading from stack[i] to stack[i + 1]
+        stack = [(root, iter(g.adj[root]))]
+        via: list = []
+        while stack:
+            u, edges = stack[-1]
+            for v in edges:
+                w = pair_r[v]
+                if w == -1:
+                    via.append(v)
+                    for (a, _), b in zip(stack, via):
+                        pair_l[a] = b
+                        pair_r[b] = a
+                    return
+                if dist[w] == dist[u] + 1:
+                    via.append(v)
+                    stack.append((w, iter(g.adj[w])))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
+                if via:
+                    via.pop()
 
     while bfs():
         for u in range(nl):

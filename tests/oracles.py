@@ -105,6 +105,32 @@ def leaf_cells(model):
             for i in range(len(model.leaf_vote))]
 
 
+def histogram_walk_leaf(model, x) -> int:
+    """Leaf id of x found by descending the split tree, or -1 outside the
+    root.
+
+    Starts from ``root_lo`` / ``root_side`` and halves the cell, moving to
+    the upper half in coordinate j when x[j] >= lo[j] + half, until the
+    cell's (lo, side) is a stored leaf.  Reads neither ``leaf_hi`` nor the
+    library's lookup.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    lo = np.array(model.root_lo, dtype=float)
+    side = float(model.root_side)
+    if np.any(x < lo) or np.any(x >= lo + side):
+        return -1
+    leaves = {(tuple(l), float(s)): i
+              for i, (l, s) in enumerate(zip(model.leaf_lo, model.leaf_side))}
+    assert len(leaves) == len(model.leaf_lo), "two leaves share (lo, side)"
+    while (tuple(lo), side) not in leaves:
+        half = side / 2.0
+        for j in range(len(x)):
+            if x[j] >= lo[j] + half:
+                lo[j] = lo[j] + half
+        side = half
+    return leaves[(tuple(lo), side)]
+
+
 def grid_misprediction_radius(predict_fn, x, y: int, r: float, resolution: float):
     """Smallest grid radius at which predict_fn disagrees with y, or None.
 

@@ -1,5 +1,7 @@
 """Minimal-perturbation attacks: exact histogram and 1-NN solvers, grid oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from astute_np import (CERTIFIED_ASTUTE, FOUND, L2, LINF, UNKNOWN,
                        grid_attack, histogram_attack, is_astute,
                        nn1_attack_exact, predict, resolve_attack, run_attack,
                        train_histogram, train_kernel, train_knn)
+from astute_np.attack import _shell_offsets
 
 import oracles
 
@@ -166,6 +169,24 @@ def test_histogram_witness_invariants_random():
                 _check_witness(model, res, x, y, budget, slack=1e-9)
 
 
+def test_histogram_zero_radius_iff_mispredicted_on_cell_faces():
+    # queries on leaf corners and one ulp to either side, including the root
+    # faces, where the closed and the half-open box disagree
+    ds = _random_ds(77, n=120)
+    model = train_histogram(ds, kn=4, root=(np.array([0.0, 0.0]), 1.0))
+    corners = np.concatenate([model.leaf_lo, model.leaf_hi,
+                              np.c_[model.leaf_lo[:, 0], model.leaf_hi[:, 1]]])
+    budget = AttackBudget(0.05)
+    for x in np.concatenate([corners, np.nextafter(corners, -np.inf),
+                             np.nextafter(corners, np.inf)]):
+        for y in (1, -1):
+            res = histogram_attack(model, x, y, budget)
+            at_x = res.found and res.radius == 0.0 and np.array_equal(res.witness, x)
+            assert at_x == (predict(model, x) != y)
+            if res.found:
+                _check_witness(model, res, x, y, budget, slack=1e-9)
+
+
 def test_histogram_found_monotone_in_r():
     model = _example2_model()
     ds = generate(ScenarioSpec("example2", 300), RandomStream(3, 5))
@@ -287,6 +308,14 @@ def test_grid_witness_on_lattice():
     off = (res.witness - np.array([0.2, 0.0])) / 0.1
     assert np.allclose(off, np.round(off), atol=1e-9)
     assert predict(model, res.witness) == -1
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_shells_in_product_order(d):
+    for k in range(1, 5):
+        reference = [off for off in itertools.product(range(-k, k + 1), repeat=d)
+                     if max(abs(o) for o in off) == k]
+        assert np.array_equal(_shell_offsets(k, d), np.array(reference, dtype=float))
 
 
 def test_grid_resolution_validation():

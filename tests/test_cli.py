@@ -280,6 +280,15 @@ def test_probe_pruned_needs_radius(capsys):
     assert "prune-r" in capsys.readouterr().err
 
 
+def test_probe_prune_radius_needs_pruned(monkeypatch, capsys):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data drawn before prune-r was checked")
+    monkeypatch.setattr("astute_np.evaluation.generate", no_data)
+    rc = main(["probe", "--prune-r", "0.1", "--sizes", "20", "--draws", "1"])
+    assert rc == 2
+    assert "key 'prune-r'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # demo
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from astute_np import (GAUSSIAN, INVERSE_POLY, L2, LINF, PLATEAU_EXAMPLE3,
                        Dataset, KernelSpec, RandomStream, ScenarioSpec,
                        default_bandwidth, default_cell_threshold, generate,
-                       predict, predict_batch, train_histogram,
+                       make_model, predict, predict_batch, train_histogram,
                        train_kernel, train_knn, weights, weights_batch)
 
 import oracles
@@ -147,6 +147,14 @@ def test_inverse_poly_kernel_shape():
     assert np.allclose(np.exp(spec.log_kernel(u)), [1.0, 0.25, 0.0625])
 
 
+def test_unknown_kernel_kind_rejected_before_training():
+    ds = _random_ds(7, n=10)
+    with pytest.raises(ValueError, match="unknown kernel kind 'bogus'"):
+        make_model("kernel", ds, kernel="bogus")
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        KernelSpec(kind="bogus")
+
+
 def test_default_bandwidth_rule():
     assert default_bandwidth(1000, 1) == pytest.approx(0.1)
     assert default_bandwidth(16, 2) == pytest.approx(16 ** -0.25)
@@ -182,8 +190,7 @@ def test_histogram_partition_invariants():
         kn = default_cell_threshold(len(ds))
         assert np.all(counts <= kn)
         # every training point lands in exactly one leaf, the one storing it
-        for i, p in enumerate(ds.points):
-            leaf = model.leaf_index(p)
+        for i, leaf in enumerate(model.leaf_index(ds.points)):
             assert leaf >= 0
             assert i in model.leaf_members[leaf]
 
@@ -234,6 +241,33 @@ def test_histogram_explicit_root_override():
     assert predict(model, [0.1]) == 1
 
 
+def _leaf_lookup_queries(model, rng):
+    """Random queries around the root, plus every leaf's lo and hi corners
+    and their float neighbours on both sides."""
+    lo, side, d = model.root_lo, model.root_side, len(model.root_lo)
+    random = rng.uniform(lo - 0.1 * side, lo + 1.1 * side, (400, d))
+    corners = np.concatenate([model.leaf_lo, model.leaf_hi])
+    return np.concatenate([random, corners, np.nextafter(corners, -np.inf),
+                           np.nextafter(corners, np.inf)])
+
+
+@pytest.mark.parametrize("origin", [0.0, 1e6])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_histogram_leaf_index_matches_tree_walk(d, origin):
+    rng = np.random.default_rng(40 + d)
+    root_lo, side = np.full(d, origin - 0.3), 0.7
+    pts = root_lo + side * rng.beta(0.5, 0.5, (300, d))
+    ds = Dataset(pts, np.where(rng.random(300) < 0.5, 1, -1))
+    model = train_histogram(ds, kn=4, root=(root_lo, side))
+    assert len(model.leaf_vote) > 2 ** d
+    queries = _leaf_lookup_queries(model, rng)
+    walked = [oracles.histogram_walk_leaf(model, q) for q in queries]
+    assert model.leaf_index(queries).tolist() == walked
+    assert np.array_equal(predict_batch(model, queries),
+                          [1 if leaf >= 0 and model.leaf_vote[leaf] > 0 else -1
+                           for leaf in walked])
+
+
 def test_histogram_root_must_cover_data():
     ds = Dataset(np.array([[0.5], [1.5]]), np.array([1, -1]))
     with pytest.raises(ValueError):
@@ -247,7 +281,7 @@ def test_histogram_weights_uniform_within_leaf():
     for _ in range(40):
         q = rng.uniform(0, 1, 2)
         w = weights(model, q)
-        leaf = model.leaf_index(q)
+        [leaf] = model.leaf_index(q)
         if leaf == -1:
             # query landed outside the data bounding cube
             assert np.all(w == 0.0)

@@ -77,6 +77,25 @@ def test_matching_is_valid():
     assert len(matched_r) == len(set(matched_r))
 
 
+def test_long_augmenting_path_does_not_recurse():
+    # 1-D chain L_m R_0 L_0 R_1 ... L_{m-1} R_m, spacing 0.15, so only
+    # neighbours conflict at r = 0.1.  With L_m (x = 0) listed last, the
+    # first phase matches L_i with R_i, and the second finds one augmenting
+    # path through the whole chain, far longer than the recursion limit.
+    m = 2000
+    pos = 0.15 * np.arange(2 * m + 2)
+    labels = np.where(np.arange(2 * m + 2) % 2 == 0, 1, -1)
+    order = np.r_[1:2 * m + 2, 0]
+    ds = Dataset(pos[order, None], labels[order])
+    pruned = adv_prune(ds, 0.1)
+    assert pruned.matching_size == m + 1
+    assert len(pruned.kept) == m + 1
+    kept_pos = ds.points[pruned.kept, 0]
+    kept_labels = ds.labels[pruned.kept]
+    close = np.abs(kept_pos[:, None] - kept_pos[None, :]) <= 0.2
+    assert not np.any(close & (kept_labels[:, None] != kept_labels[None, :]))
+
+
 # ---------------------------------------------------------------------------
 # pruning
 
