@@ -15,18 +15,17 @@ from .models import (GAUSSIAN, INVERSE_POLY, KERNELS, MODELS, PLATEAU_EXAMPLE3,
                      predict, predict_batch, train_histogram, train_kernel,
                      train_knn, weights, weights_batch)
 from .prune import (ConflictGraph, PrunedSet, adv_prune, build_conflict_graph,
-                    max_matching, robust_accuracy_upper_bound, robust_train)
+                    max_matching)
 from .attack import (CERTIFIED_ASTUTE, FOUND, UNKNOWN, AttackBudget,
                      AttackMethodError, AttackResult, AttackTable,
                      CostGuardError, attack_all, grid_attack,
-                     histogram_attack, is_astute, nn1_attack_exact,
-                     resolve_attack, run_attack)
+                     histogram_attack, nn1_attack_exact, resolve_attack,
+                     run_attack)
 from .evaluation import (DEFAULT_SIZES, BayesGapReport, EvalReport,
                          ProbeConfig, ProbeResult, SweepConfig, SweepResult,
                          accuracy, bayes_gap_demo, convergence_sweep,
                          empirical_astuteness, probe_far_weight)
-from .chart import (ACCURACY_COLOR, ASTUTENESS_COLOR, ChartSpec, Series,
-                    emit_chart, render_chart, sweep_chart)
+from .chart import ACCURACY_COLOR, ASTUTENESS_COLOR, sweep_chart
 
 __version__ = "0.1.0"
 
@@ -40,14 +39,13 @@ __all__ = [
     "predict_batch", "train_histogram", "train_kernel", "train_knn", "weights",
     "weights_batch",
     "ConflictGraph", "PrunedSet", "adv_prune", "build_conflict_graph",
-    "max_matching", "robust_accuracy_upper_bound", "robust_train",
+    "max_matching",
     "CERTIFIED_ASTUTE", "FOUND", "UNKNOWN", "AttackBudget",
     "AttackMethodError", "AttackResult", "AttackTable", "CostGuardError",
-    "attack_all", "grid_attack", "histogram_attack", "is_astute",
-    "nn1_attack_exact", "resolve_attack", "run_attack",
+    "attack_all", "grid_attack", "histogram_attack", "nn1_attack_exact",
+    "resolve_attack", "run_attack",
     "DEFAULT_SIZES", "BayesGapReport", "EvalReport", "ProbeConfig",
     "ProbeResult", "SweepConfig", "SweepResult", "accuracy", "bayes_gap_demo",
     "convergence_sweep", "empirical_astuteness", "probe_far_weight",
-    "ACCURACY_COLOR", "ASTUTENESS_COLOR", "ChartSpec", "Series",
-    "emit_chart", "render_chart", "sweep_chart",
+    "ACCURACY_COLOR", "ASTUTENESS_COLOR", "sweep_chart",
 ]

@@ -19,12 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .data import L2, Dataset
+from .data import Dataset
 from .models import HistogramModel, KnnModel, predict, predict_batch
 
 FOUND = "found"
 CERTIFIED_ASTUTE = "certified_astute"
 UNKNOWN = "unknown"
+METHODS = ("auto", "histogram", "nn1", "grid")
 
 
 class AttackMethodError(ValueError):
@@ -80,8 +81,7 @@ def histogram_attack(model: HistogramModel, x, y: int, budget: AttackBudget) -> 
     best = np.inf
     witness = None
 
-    labels = np.where(model.leaf_vote > 0, 1, -1)
-    target = labels != y
+    target = model.leaf_label != y
     if np.any(target):
         # leaf_hi holds the exact split boundaries, so clipping into
         # [lo, hi) lands in the leaf with certainty, not merely up to an ulp
@@ -122,7 +122,7 @@ def histogram_attack(model: HistogramModel, x, y: int, budget: AttackBudget) -> 
 
 
 # ---------------------------------------------------------------------------
-# exact 1-NN attack (2-D, L2 neighbor metric)
+# exact 1-NN attack (2-D, L2 neighbors)
 #
 # For an opposite-label training point z, the region where z is the nearest
 # neighbor is a convex polygon: for every same-label point s,
@@ -206,10 +206,8 @@ def nn1_attack_exact(model: KnnModel, x, y: int, budget: AttackBudget) -> Attack
     solved exactly.  The reported radius is the true minimum whenever it is
     within budget; otherwise the point is certified astute.
     """
-    if model.k != 1 or model.metric != L2:
-        raise AttackMethodError("exact attack requires k=1 with L2 neighbors; use grid_attack")
-    if model.train.dim != 2:
-        raise AttackMethodError("exact 1-NN attack is 2-D only; use grid_attack")
+    if model.k != 1 or model.train.dim != 2:
+        raise AttackMethodError("exact 1-NN attack needs k = 1 in 2-D; use grid_attack")
     x = np.asarray(x, dtype=float).reshape(-1)
     if predict(model, x) != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
@@ -326,41 +324,38 @@ def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float,
 # dispatch
 
 
-def resolve_attack(model) -> tuple[str, bool]:
-    """Pick the attack for a model family: (name, is_approximate)."""
+def resolve_attack(model, method: str = "auto") -> tuple[str, bool]:
+    """The attack that ``method`` (one of ``METHODS``) runs on this model:
+    (name, is_approximate).
+
+    ``auto`` takes the exact attack that covers the model family, or the
+    grid when none does.  An exact method that does not cover the model, or
+    an unknown name, raises AttackMethodError.
+    """
+    exact = None
     if isinstance(model, HistogramModel):
-        return "histogram", False
-    if isinstance(model, KnnModel) and model.k == 1 and model.metric == L2 and model.train.dim == 2:
-        return "nn1", False
-    return "grid", True
+        exact = "histogram"
+    elif isinstance(model, KnnModel) and model.k == 1 and model.train.dim == 2:
+        exact = "nn1"
+    if method == "grid" or (method == "auto" and exact is None):
+        return "grid", True
+    if method in ("auto", exact):
+        return exact, False
+    if method in METHODS:
+        raise AttackMethodError(f"exact method {method!r} does not cover this model")
+    raise AttackMethodError(f"unknown attack method {method!r}")
 
 
 def run_attack(model, x, y: int, budget: AttackBudget, method: str = "auto",
                resolution: float = 1e-3) -> AttackResult:
-    if method == "auto":
-        method, _ = resolve_attack(model)
+    """Attack one point with the method ``resolve_attack`` picks.  Every
+    attack reports a misprediction at x as FOUND at radius 0."""
+    method, _ = resolve_attack(model, method)
     if method == "histogram":
-        if not isinstance(model, HistogramModel):
-            raise AttackMethodError("histogram attack needs a histogram model")
         return histogram_attack(model, x, y, budget)
     if method == "nn1":
-        if not isinstance(model, KnnModel):
-            raise AttackMethodError("1-NN attack needs a k-NN model")
         return nn1_attack_exact(model, x, y, budget)
-    if method == "grid":
-        return grid_attack(model, x, y, budget, resolution)
-    raise AttackMethodError(f"unknown attack method {method!r}")
-
-
-def is_astute(model, x, y: int, budget: AttackBudget, method: str = "auto",
-              resolution: float = 1e-3) -> bool:
-    """True when the prediction at x is y and no attack within budget exists.
-
-    Every attack reports a misprediction at x as FOUND at radius 0.  With the
-    grid oracle this is only an absence-of-evidence verdict; exact methods
-    genuinely certify.
-    """
-    return not run_attack(model, x, y, budget, method=method, resolution=resolution).found
+    return grid_attack(model, x, y, budget, resolution)
 
 
 @dataclass(frozen=True)
@@ -383,19 +378,13 @@ def attack_all(model, test: Dataset, budget: AttackBudget, method: str = "auto",
                resolution: float = 1e-3) -> AttackTable:
     """Attack every test point with one method.
 
-    ``method="auto"`` takes the method ``resolve_attack`` picks; an exact
-    method that does not cover the model is rejected before any attack.
+    ``resolve_attack`` picks the method, so an exact method that does not
+    cover the model is rejected before any attack.
     Duplicate (point, label) rows are attacked once and their result is
     shared, which matters for discrete scenarios where the test set
     collapses to a handful of distinct points.
     """
-    resolved, approximate = resolve_attack(model)
-    if method == "grid":
-        resolved, approximate = method, True
-    elif method in ("histogram", "nn1") and method != resolved:
-        raise AttackMethodError(f"exact method {method!r} does not cover this model")
-    elif method not in ("auto", resolved):
-        raise AttackMethodError(f"unknown attack method {method!r}")
+    resolved, approximate = resolve_attack(model, method)
 
     keyed = np.concatenate([test.points, test.labels[:, None].astype(float)], axis=1)
     uniq, inverse = np.unique(keyed, axis=0, return_inverse=True)

@@ -1,68 +1,47 @@
-"""Static SVG line charts, emitted by hand for byte-deterministic output.
+"""Static SVG line chart of a convergence sweep, emitted by hand for
+byte-deterministic output.
 
-One chart shape is needed: series of (x, mean, std) with error bars,
-accuracy drawn in green and astuteness in purple.  Coordinates are
-formatted with fixed precision so identical specs produce identical bytes.
+Two series of (x, mean, std) with error bars: accuracy drawn in green and
+astuteness in purple.  Coordinates are formatted with fixed precision so
+identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
 
 ACCURACY_COLOR = "#2e7d32"
 ASTUTENESS_COLOR = "#6a1b9a"
-FALLBACK_COLORS = ("#1565c0", "#ef6c00", "#5d4037", "#00838f")
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 24, 40, 48
-
-
-@dataclass(frozen=True)
-class Series:
-    label: str
-    x: tuple
-    mean: tuple
-    std: tuple
-
-    def validate(self):
-        if not (len(self.x) == len(self.mean) == len(self.std)):
-            raise ValueError(f"series {self.label!r} has inconsistent lengths")
-        if len(self.x) == 0:
-            raise ValueError(f"series {self.label!r} is empty")
-
-
-@dataclass(frozen=True)
-class ChartSpec:
-    series: tuple
-    x_label: str = "training size"
-    y_label: str = "fraction"
-    title: str = ""
-    out_path: Optional[str] = None
-
-
-def _series_color(label: str, index: int) -> str:
-    low = label.lower()
-    if "accuracy" in low:
-        return ACCURACY_COLOR
-    if "astuteness" in low:
-        return ASTUTENESS_COLOR
-    return FALLBACK_COLORS[index % len(FALLBACK_COLORS)]
+X_LABEL, Y_LABEL = "training size", "fraction"
 
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_chart(spec: ChartSpec) -> str:
-    """Return the SVG document for a spec as a string."""
-    if not spec.series:
-        raise ValueError("chart needs at least one series")
-    for s in spec.series:
-        s.validate()
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
-    xs = [float(v) for s in spec.series for v in s.x]
+
+def sweep_chart(sizes, acc_mean, acc_std, ast_mean, ast_std, out_path,
+                title: str = "") -> str:
+    """Write the accuracy / astuteness chart of a sweep to ``out_path``.
+
+    Returns the SVG text.  The x axis turns logarithmic when the sizes span
+    a factor of 50 or more.
+    """
+    series = (("accuracy", ACCURACY_COLOR, acc_mean, acc_std),
+              ("astuteness", ASTUTENESS_COLOR, ast_mean, ast_std))
+    for label, _, mean, std in series:
+        if not (len(sizes) == len(mean) == len(std)):
+            raise ValueError(f"series {label!r} has inconsistent lengths")
+    if len(sizes) == 0:
+        raise ValueError("chart needs at least one size")
+
+    xs = [float(v) for v in sizes]
     x_min, x_max = min(xs), max(xs)
     log_x = x_min > 0 and (x_max / x_min) >= 50
     if log_x:
@@ -87,9 +66,9 @@ def render_chart(spec: ChartSpec) -> str:
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
                f'viewBox="0 0 {WIDTH} {HEIGHT}">')
     out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-    if spec.title:
+    if title:
         out.append(f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{_escape(spec.title)}</text>')
+                   f'font-family="sans-serif" font-size="15">{_escape(title)}</text>')
 
     # frame and y grid (fractions 0 .. 1 in steps of 0.25)
     out.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
@@ -102,9 +81,8 @@ def render_chart(spec: ChartSpec) -> str:
         out.append(f'<text x="{MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
                    f'font-family="sans-serif" font-size="11">{v:g}</text>')
 
-    # x ticks at the union of series x values
-    ticks = sorted({float(v) for s in spec.series for v in s.x})
-    for v in ticks:
+    # x ticks at the distinct sizes
+    for v in sorted(set(xs)):
         x = px(v)
         out.append(f'<line x1="{_fmt(x)}" y1="{MARGIN_T + plot_h}" x2="{_fmt(x)}" '
                    f'y2="{MARGIN_T + plot_h + 5}" stroke="#444" stroke-width="1"/>')
@@ -112,19 +90,18 @@ def render_chart(spec: ChartSpec) -> str:
                    f'font-family="sans-serif" font-size="10">{v:g}</text>')
 
     out.append(f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="12">{_escape(spec.x_label)}</text>')
+               f'font-family="sans-serif" font-size="12">{X_LABEL}</text>')
     out.append(f'<text x="16" y="{MARGIN_T + plot_h // 2}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="12" '
-               f'transform="rotate(-90 16 {MARGIN_T + plot_h // 2})">{_escape(spec.y_label)}</text>')
+               f'transform="rotate(-90 16 {MARGIN_T + plot_h // 2})">{Y_LABEL}</text>')
 
-    for idx, s in enumerate(spec.series):
-        color = _series_color(s.label, idx)
-        pts = [(px(float(x)), py(float(m))) for x, m in zip(s.x, s.mean)]
+    for _, color, mean, std in series:
+        pts = [(px(x), py(float(m))) for x, m in zip(xs, mean)]
         # error bars first so the line draws over them
-        for (x, m, sd) in zip(s.x, s.mean, s.std):
+        for x, m, sd in zip(xs, mean, std):
             if sd <= 0:
                 continue
-            cx = px(float(x))
+            cx = px(x)
             y_lo, y_hi = py(float(m) - float(sd)), py(float(m) + float(sd))
             out.append(f'<line x1="{_fmt(cx)}" y1="{_fmt(y_lo)}" x2="{_fmt(cx)}" '
                        f'y2="{_fmt(y_hi)}" stroke="{color}" stroke-width="1"/>')
@@ -139,44 +116,15 @@ def render_chart(spec: ChartSpec) -> str:
     # legend, top-right inside the frame
     lx = MARGIN_L + plot_w - 150
     ly = MARGIN_T + 12
-    for idx, s in enumerate(spec.series):
-        color = _series_color(s.label, idx)
+    for idx, (label, color, _, _) in enumerate(series):
         y = ly + idx * 18
         out.append(f'<line x1="{lx}" y1="{y}" x2="{lx + 22}" y2="{y}" '
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 28}" y="{y + 4}" font-family="sans-serif" '
-                   f'font-size="11">{_escape(s.label)}</text>')
+                   f'font-size="11">{label}</text>')
 
     out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def emit_chart(spec: ChartSpec) -> str:
-    """Render and, when the spec names a path, write the SVG file.
-
-    Returns the SVG text either way.
-    """
-    svg = render_chart(spec)
-    if spec.out_path is not None:
-        with open(spec.out_path, "w") as fh:
-            fh.write(svg)
+    svg = "\n".join(out) + "\n"
+    with open(out_path, "w") as fh:
+        fh.write(svg)
     return svg
-
-
-def sweep_chart(sizes, acc_mean, acc_std, ast_mean, ast_std, out_path,
-                title: str = "") -> ChartSpec:
-    """Convenience wrapper shaping a sweep result into the standard chart."""
-    spec = ChartSpec(
-        series=(
-            Series("accuracy", tuple(sizes), tuple(acc_mean), tuple(acc_std)),
-            Series("astuteness", tuple(sizes), tuple(ast_mean), tuple(ast_std)),
-        ),
-        title=title,
-        out_path=out_path,
-    )
-    emit_chart(spec)
-    return spec

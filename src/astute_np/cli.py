@@ -14,10 +14,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .data import (LINF, Dataset, RandomStream, ScenarioSpec, generate,
+from .data import (L2, LINF, Dataset, RandomStream, ScenarioSpec, generate,
                    read_csv, write_csv)
 from .models import GAUSSIAN, KERNELS, MODELS, make_model
-from .attack import FOUND, AttackBudget, AttackMethodError, attack_all
+from .attack import FOUND, METHODS, AttackBudget, AttackMethodError, attack_all
 from .evaluation import (DEFAULT_SIZES, ProbeConfig, SweepConfig,
                          bayes_gap_demo, convergence_sweep,
                          empirical_astuteness, probe_far_weight)
@@ -45,15 +45,6 @@ def _cfg_guard(key: str = "parameters"):
 
 # ---------------------------------------------------------------------------
 # parameter schemas
-
-
-def _cast_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 def _cast_opt_float(s: str):
@@ -93,13 +84,16 @@ _FAMILY_KEYS = [
     ("kernel", _cast_choice(KERNELS), GAUSSIAN, False,
      f"kernel kind: {' | '.join(KERNELS)}"),
 ]
+_KN_KEY = ("kn", _cast_opt_int, None, False, "histogram split threshold (default n^(1/3) rule)")
 _MODEL_KEYS = [
     *_FAMILY_KEYS,
-    ("kn", _cast_opt_int, None, False, "histogram split threshold (default n^(1/3) rule)"),
+    _KN_KEY,
     ("hist-root", _cast_float_list, None, False,
      "histogram root cube: d min-corner coords then the side length "
      "(default: data bounding cube)"),
 ]
+_METHOD_KEY = ("method", _cast_choice(METHODS), "auto", False,
+               f"attack method: {' | '.join(METHODS)}")
 
 _SCHEMAS = {
     "gen": [
@@ -121,7 +115,7 @@ _SCHEMAS = {
         *_MODEL_KEYS,
         ("attack-r", float, 0.1, False, "robustness radius"),
         ("prune-r", _cast_opt_float, None, False, "prune training data at this radius"),
-        ("method", str, "auto", False, "attack method: auto | histogram | nn1 | grid"),
+        _METHOD_KEY,
         ("resolution", float, 1e-3, False, "grid attack resolution"),
         ("seed", int, 0, False, "random seed"),
         ("out", str, None, False, "also write the report to this path"),
@@ -129,7 +123,7 @@ _SCHEMAS = {
     "prune": [
         ("data", str, None, True, "input CSV path"),
         ("r", float, None, True, "separation radius"),
-        ("metric", str, LINF, False, "l2 | linf"),
+        ("metric", _cast_choice((L2, LINF)), LINF, False, f"{L2} | {LINF}"),
         ("out", str, None, False, "write the kept subset to this CSV path"),
     ],
     "attack": [
@@ -137,14 +131,15 @@ _SCHEMAS = {
         ("test-csv", str, None, True, "points to attack"),
         *_MODEL_KEYS,
         ("r", float, None, True, "attack budget radius"),
-        ("method", str, "auto", False, "auto | histogram | nn1 | grid"),
+        _METHOD_KEY,
         ("resolution", float, 1e-3, False, "grid attack resolution"),
         ("out", str, None, True, "report CSV path"),
     ],
     "sweep": [
         ("scenario", str, "half_moons", False, "scenario"),
         ("sigma", float, 0.0, False, "noise level"),
-        *_MODEL_KEYS,
+        *_FAMILY_KEYS,
+        _KN_KEY,
         ("sizes", _cast_int_list, DEFAULT_SIZES, False, "comma-separated training sizes"),
         ("repeats", int, 5, False, "repeats per size"),
         ("n-test", int, 1000, False, "test size"),
@@ -167,10 +162,10 @@ _SCHEMAS = {
         ("draws", int, 400, False, "Monte-Carlo draws per size"),
         ("boundary", int, 64, False, "ball boundary candidates"),
         ("interior", int, 16, False, "ball interior candidates"),
-        ("pruned", _cast_bool, False, False, "probe the pruned-training condition"),
-        ("prune-r", _cast_opt_float, None, False, "prune radius for the pruned probe"),
+        ("prune-r", _cast_opt_float, None, False,
+         "probe the pruned-training condition at this radius (omit for the unpruned probe)"),
         ("fixed-x", _cast_float_list, None, False,
-         "fixed query point (comma coords); not with pruned = true"),
+         "fixed query point (comma coords); not with prune-r"),
         ("scenario-r", float, 0.1, False, "example1 oscillation scale"),
         ("seed", int, 0, False, "random seed"),
         ("out", str, None, False, "results CSV path"),
@@ -386,8 +381,6 @@ def _cmd_sweep(params: dict) -> int:
 
 
 def _cmd_probe(params: dict) -> int:
-    if params["prune_r"] is not None and not params["pruned"]:
-        raise ConfigError("prune-r", "only applies with pruned = true")
     cfg = ProbeConfig(scenario=params["scenario"], sigma=params["sigma"],
                       model=params["model"], k=params["k"], kernel=params["kernel"],
                       a=params["a"], b=params["b"], sizes=tuple(params["sizes"]),
@@ -398,8 +391,6 @@ def _cmd_probe(params: dict) -> int:
                       seed=params["seed"])
     with _cfg_guard("probe"):
         cfg.validate()
-        if params["pruned"] and cfg.prune_r is None:
-            raise ValueError("prune-r is required when pruned = true")
     result = probe_far_weight(cfg)
     lines = ["n,estimate,std_error"]
     for i, n in enumerate(result.sizes):

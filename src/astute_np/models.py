@@ -5,18 +5,19 @@ All three share one prediction rule: a query x receives a nonnegative weight
 per training point (summing to 1, and depending only on training positions,
 never labels), and the predicted label is +1 exactly when the weighted label
 sum is positive.  A weighted sum of zero, including the all-zero weight
-vector a histogram emits outside its root cell, predicts -1.
+vector a histogram emits outside its root cell, predicts -1.  k-NN and
+kernel distances are Euclidean (L2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, L2, LINF, pairwise_distances
+from .data import Dataset, L2, pairwise_distances
 
 GAUSSIAN = "gaussian"
 PLATEAU_EXAMPLE3 = "plateau_example3"
@@ -49,18 +50,17 @@ def default_cell_threshold(n: int) -> int:
 class KnnModel:
     train: Dataset
     k: int
-    metric: str = L2
 
     @property
     def n(self) -> int:
         return len(self.train)
 
 
-def train_knn(ds: Dataset, k: int = 1, metric: str = L2) -> KnnModel:
+def train_knn(ds: Dataset, k: int = 1) -> KnnModel:
     if len(ds) == 0:
         raise ValueError("empty training set")
     k = max(1, min(int(k), len(ds)))
-    return KnnModel(ds, k, metric)
+    return KnnModel(ds, k)
 
 
 def _knn_neighbor_rows(model: KnnModel, queries: np.ndarray) -> np.ndarray:
@@ -69,7 +69,7 @@ def _knn_neighbor_rows(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     Ties on the k-th distance go to the lowest training index; a stable
     argsort on the distance row gives exactly that order.
     """
-    dist = pairwise_distances(model.metric, queries, model.train.points)
+    dist = pairwise_distances(L2, queries, model.train.points)
     order = np.argsort(dist, axis=1, kind="stable")
     return order[:, : model.k]
 
@@ -81,8 +81,6 @@ def _knn_neighbor_rows(model: KnnModel, queries: np.ndarray) -> np.ndarray:
 @dataclass
 class KernelSpec:
     kind: str = GAUSSIAN
-    p: float = 2.0
-    bandwidth_rule: Callable[[int, int], float] = default_bandwidth
 
     def __post_init__(self):
         if self.kind not in KERNELS:
@@ -96,9 +94,9 @@ class KernelSpec:
             # flattens beyond u = 0.2, so far points keep substantial weight
             return -np.square(np.minimum(np.abs(u), 0.2))
         if self.kind == INVERSE_POLY:
-            # K(u) = (1 + u)^(-p): heavy tail, decays too slowly for
+            # K(u) = (1 + u)^(-2): heavy tail, decays too slowly for
             # concentration; kept as a deliberately ill-behaved contrast case
-            return -self.p * np.log1p(u)
+            return -2.0 * np.log1p(u)
         raise ValueError(f"unknown kernel kind {self.kind!r}")
 
 
@@ -107,7 +105,6 @@ class KernelModel:
     train: Dataset
     spec: KernelSpec
     h: float
-    metric: str = L2
 
     @property
     def n(self) -> int:
@@ -115,15 +112,15 @@ class KernelModel:
 
 
 def train_kernel(ds: Dataset, spec: Optional[KernelSpec] = None,
-                 h: Optional[float] = None, metric: str = L2) -> KernelModel:
+                 h: Optional[float] = None) -> KernelModel:
     if len(ds) == 0:
         raise ValueError("empty training set")
     spec = spec or KernelSpec()
     if h is None:
-        h = spec.bandwidth_rule(len(ds), ds.dim)
+        h = default_bandwidth(len(ds), ds.dim)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    return KernelModel(ds, spec, float(h), metric)
+    return KernelModel(ds, spec, float(h))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +146,8 @@ class HistogramModel:
     leaf_hi: np.ndarray = field(repr=False, default=None)
     leaf_side: np.ndarray = field(repr=False, default=None)
     leaf_vote: np.ndarray = field(repr=False, default=None)
+    # each leaf's predicted label, +1 iff its vote is positive
+    leaf_label: np.ndarray = field(repr=False, default=None)
     leaf_count: np.ndarray = field(repr=False, default=None)
     leaf_members: list = field(repr=False, default=None)
 
@@ -256,12 +255,13 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
                       idx[np.all(upper == bits, axis=1)])
                      for bits in code_bits[::-1])
 
+    leaf_vote = np.array(leaf_vote)
     return HistogramModel(
         train=ds, kn=kn, root_lo=lo, root_side=side,
         leaf_lo=np.array(leaf_lo), leaf_hi=np.array(leaf_hi),
-        leaf_side=np.array(leaf_side),
-        leaf_vote=np.array(leaf_vote), leaf_count=np.array(leaf_count),
-        leaf_members=leaf_members,
+        leaf_side=np.array(leaf_side), leaf_vote=leaf_vote,
+        leaf_label=np.where(leaf_vote > 0, 1, -1).astype(np.int8),
+        leaf_count=np.array(leaf_count), leaf_members=leaf_members,
     )
 
 
@@ -307,7 +307,7 @@ def weights_batch(model, queries: np.ndarray) -> np.ndarray:
         np.put_along_axis(out, rows, 1.0 / model.k, axis=1)
         return out
     if isinstance(model, KernelModel):
-        u = pairwise_distances(model.metric, queries, model.train.points) / model.h
+        u = pairwise_distances(L2, queries, model.train.points) / model.h
         logk = model.spec.log_kernel(u)
         # divide through by the max kernel value before normalizing: exact in
         # real arithmetic, and keeps tiny bandwidths from flushing every
@@ -339,8 +339,7 @@ def predict_batch(model, queries: np.ndarray) -> np.ndarray:
         return np.where(votes > 0, 1, -1).astype(np.int8)
     if isinstance(model, HistogramModel):
         leaves = model.leaf_index(queries)
-        positive = (leaves >= 0) & (model.leaf_vote[leaves] > 0)
-        return np.where(positive, 1, -1).astype(np.int8)
+        return np.where(leaves >= 0, model.leaf_label[leaves], -1).astype(np.int8)
     w = weights_batch(model, queries)
     votes = w @ model.train.labels.astype(float)
     return np.where(votes > 0, 1, -1).astype(np.int8)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,6 +40,9 @@ class PrunedSet:
 
     @property
     def kept_fraction(self) -> float:
+        """Upper bound on any classifier's astuteness at radius r on the
+        sample itself: each conflicting pair forces an error or a
+        non-robust point."""
         return len(self.kept) / self.n if self.n else 1.0
 
 
@@ -52,17 +54,13 @@ def build_conflict_graph(ds: Dataset, r: float, metric: str = LINF) -> ConflictG
     left = np.flatnonzero(ds.labels == 1)
     right = np.flatnonzero(ds.labels == -1)
     adj: list = [[] for _ in range(len(left))]
-    edges = 0
     if len(left) and len(right):
         lp = ds.points[left]
         rp = ds.points[right]
         for start in range(0, len(left), 256):
-            block = pairwise_distances(metric, lp[start:start + 256], rp)
-            hit_rows, hit_cols = np.nonzero(block <= 2.0 * r)
-            for i, j in zip(hit_rows.tolist(), hit_cols.tolist()):
-                adj[start + i].append(j)
-                edges += 1
-    return ConflictGraph(left, right, adj, edges)
+            block = pairwise_distances(metric, lp[start:start + 256], rp) <= 2.0 * r
+            adj[start:start + len(block)] = [np.flatnonzero(row).tolist() for row in block]
+    return ConflictGraph(left, right, adj, sum(map(len, adj)))
 
 
 def max_matching(g: ConflictGraph) -> tuple[list, list]:
@@ -169,29 +167,3 @@ def adv_prune(ds: Dataset, r: float, metric: str = LINF) -> PrunedSet:
     kept.sort()
     assert len(kept) == len(ds) - matched
     return PrunedSet(kept=kept, matching_size=matched, n=len(ds))
-
-
-def robust_train(ds: Dataset, r: float, trainer: Callable[[Dataset], object],
-                 metric: str = LINF):
-    """Prune, then train the supplied classifier on the survivors.
-
-    Returns ``(model, pruned)``.  A nonempty input always leaves at least
-    half the points, so the trainer never sees an empty set; the guard is
-    defensive.
-    """
-    pruned = adv_prune(ds, r, metric)
-    if len(pruned.kept) == 0:
-        raise RuntimeError("pruning removed every point")
-    return trainer(ds.subset(pruned.kept)), pruned
-
-
-def robust_accuracy_upper_bound(ds: Dataset, r: float, metric: str = LINF) -> float:
-    """Fraction of the sample surviving pruning.
-
-    No classifier can exceed this astuteness at radius r when evaluated on
-    the sample itself: every conflicting pair forces at least one error or
-    non-robust point within radius r.
-    """
-    if len(ds) == 0:
-        raise ValueError("empty dataset")
-    return adv_prune(ds, r, metric).kept_fraction

@@ -20,9 +20,8 @@ from astute_np import (CERTIFIED_ASTUTE, PLATEAU_EXAMPLE3, AttackBudget,
                        bayes_gap_demo, convergence_sweep, empirical_astuteness,
                        generate, grid_attack, histogram_attack,
                        nn1_attack_exact, predict, probe_far_weight,
-                       render_chart, robust_accuracy_upper_bound, run_attack,
-                       train_histogram, train_kernel, train_knn, weights)
-from astute_np.chart import ChartSpec, Series
+                       run_attack, sweep_chart, train_histogram, train_kernel,
+                       train_knn, weights)
 
 import oracles
 
@@ -307,7 +306,7 @@ def test_criterion_11b_astuteness_bounds():
             rep = empirical_astuteness(model, test, AttackBudget(r))
             assert rep.astuteness <= rep.accuracy + 1e-12
             self_rep = empirical_astuteness(model, ds, AttackBudget(r))
-            assert self_rep.astuteness <= robust_accuracy_upper_bound(ds, r) + 1e-12
+            assert self_rep.astuteness <= adv_prune(ds, r).kept_fraction + 1e-12
 
 
 def test_criterion_11c_sweep_and_chart_deterministic(monkeypatch, tmp_path):
@@ -320,10 +319,11 @@ def test_criterion_11c_sweep_and_chart_deterministic(monkeypatch, tmp_path):
                   and np.array_equal(a.astuteness_mean, b.astuteness_mean)
                   and np.array_equal(a.accuracy_std, b.accuracy_std)
                   and np.array_equal(a.astuteness_std, b.astuteness_std))
-    spec = ChartSpec(series=(
-        Series("accuracy", a.sizes, tuple(a.accuracy_mean), tuple(a.accuracy_std)),
-        Series("astuteness", a.sizes, tuple(a.astuteness_mean), tuple(a.astuteness_std))))
-    same_chart = render_chart(spec) == render_chart(spec)
+    charts = [sweep_chart(a.sizes, a.accuracy_mean, a.accuracy_std, a.astuteness_mean,
+                          a.astuteness_std, str(tmp_path / f"{name}.svg"))
+              for name in ("a", "b")]
+    same_chart = (charts[0] == charts[1]
+                  and (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes())
     ok = same_sweep and same_chart
     _line(11, ok, f"sweep deterministic: {same_sweep}, chart deterministic: {same_chart}")
     assert ok

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astute_np import (CERTIFIED_ASTUTE, FOUND, L2, LINF, UNKNOWN,
-                       AttackBudget, AttackMethodError, CostGuardError,
-                       Dataset, RandomStream, ScenarioSpec, generate,
-                       grid_attack, histogram_attack, is_astute,
-                       nn1_attack_exact, predict, resolve_attack, run_attack,
-                       train_histogram, train_kernel, train_knn)
+from astute_np import (CERTIFIED_ASTUTE, FOUND, UNKNOWN, AttackBudget,
+                       AttackMethodError, CostGuardError, Dataset,
+                       RandomStream, ScenarioSpec, attack_all, generate,
+                       grid_attack, histogram_attack, nn1_attack_exact,
+                       predict, resolve_attack, run_attack, train_histogram,
+                       train_kernel, train_knn)
 from astute_np.attack import _shell_offsets
 
 import oracles
@@ -240,8 +240,6 @@ def test_nn1_requires_k1_l2_2d():
     with pytest.raises(AttackMethodError):
         nn1_attack_exact(train_knn(ds2, k=3), [0.5, 0.5], 1, AttackBudget(0.1))
     with pytest.raises(AttackMethodError):
-        nn1_attack_exact(train_knn(ds2, k=1, metric=LINF), [0.5, 0.5], 1, AttackBudget(0.1))
-    with pytest.raises(AttackMethodError):
         nn1_attack_exact(train_knn(ds3, k=1), [0.5, 0.5, 0.5], 1, AttackBudget(0.1))
 
 
@@ -339,15 +337,41 @@ def test_grid_cost_guard():
 # dispatch
 
 
+GRID = ("grid", True)
+# model -> the attack each method runs on it; None where it must be rejected
+ROUTES = {
+    "histogram": {"auto": ("histogram", False), "histogram": ("histogram", False),
+                  "nn1": None, "grid": GRID, "simplex": None},
+    "nn1-2d": {"auto": ("nn1", False), "histogram": None, "nn1": ("nn1", False),
+               "grid": GRID, "simplex": None},
+    "knn3-2d": {"auto": GRID, "histogram": None, "nn1": None, "grid": GRID, "simplex": None},
+    "nn1-3d": {"auto": GRID, "histogram": None, "nn1": None, "grid": GRID, "simplex": None},
+    "kernel": {"auto": GRID, "histogram": None, "nn1": None, "grid": GRID, "simplex": None},
+}
+
+
 def test_resolve_attack_routing():
     ds2 = _random_ds(4, n=12, d=2)
     ds3 = _random_ds(5, n=12, d=3)
-    assert resolve_attack(train_histogram(ds2)) == ("histogram", False)
-    assert resolve_attack(train_knn(ds2, k=1)) == ("nn1", False)
-    assert resolve_attack(train_knn(ds2, k=3)) == ("grid", True)
-    assert resolve_attack(train_knn(ds2, k=1, metric=LINF)) == ("grid", True)
-    assert resolve_attack(train_knn(ds3, k=1)) == ("grid", True)
-    assert resolve_attack(train_kernel(ds2)) == ("grid", True)
+    models = {"histogram": train_histogram(ds2), "nn1-2d": train_knn(ds2, k=1),
+              "knn3-2d": train_knn(ds2, k=3), "nn1-3d": train_knn(ds3, k=1),
+              "kernel": train_kernel(ds2)}
+    budget = AttackBudget(0.1)
+    for name, model in models.items():
+        assert resolve_attack(model) == ROUTES[name]["auto"]
+        test = Dataset(model.train.points[:2], model.train.labels[:2])
+        for method, route in ROUTES[name].items():
+            if route is None:
+                with pytest.raises(AttackMethodError):
+                    resolve_attack(model, method)
+                with pytest.raises(AttackMethodError):
+                    run_attack(model, test.points[0], 1, budget, method=method)
+                with pytest.raises(AttackMethodError):
+                    attack_all(model, test, budget, method=method)
+                continue
+            assert resolve_attack(model, method) == route
+            table = attack_all(model, test, budget, method=method, resolution=0.05)
+            assert (table.method, table.approximate) == route
 
 
 def test_run_attack_auto_matches_direct():
@@ -359,18 +383,6 @@ def test_run_attack_auto_matches_direct():
     auto = run_attack(hist, x, y, budget)
     direct = histogram_attack(hist, x, y, budget)
     assert auto.outcome == direct.outcome and auto.radius == direct.radius
-
-
-def test_run_attack_method_mismatch():
-    ds = _random_ds(8, n=10)
-    hist = train_histogram(ds)
-    knn = train_knn(ds, k=1)
-    with pytest.raises(AttackMethodError):
-        run_attack(knn, [0.5, 0.5], 1, AttackBudget(0.1), method="histogram")
-    with pytest.raises(AttackMethodError):
-        run_attack(hist, [0.5, 0.5], 1, AttackBudget(0.1), method="nn1")
-    with pytest.raises(AttackMethodError):
-        run_attack(hist, [0.5, 0.5], 1, AttackBudget(0.1), method="simplex")
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +423,19 @@ def test_nn1_attack_vs_grid_oracle(seed):
 
 
 # ---------------------------------------------------------------------------
-# is_astute
+# astute verdicts: a point is astute iff no attack within budget is found
 
 
 def test_is_astute_false_on_misprediction():
     ds = Dataset(np.array([[0.0, 0.0]]), np.array([-1]))
     model = train_knn(ds, k=1)
-    assert not is_astute(model, [0.5, 0.5], 1, AttackBudget(0.1))
+    assert run_attack(model, [0.5, 0.5], 1, AttackBudget(0.1)).found
 
 
 def test_is_astute_on_separated_pair():
     ds = Dataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([1, -1]))
     model = train_knn(ds, k=1)
     budget = AttackBudget(0.2)
-    assert is_astute(model, [0.0, 0.0], 1, budget)
-    assert is_astute(model, [1.0, 1.0], -1, budget)
-    assert not is_astute(model, [0.45, 0.45], 1, budget)
+    assert not run_attack(model, [0.0, 0.0], 1, budget).found
+    assert not run_attack(model, [1.0, 1.0], -1, budget).found
+    assert run_attack(model, [0.45, 0.45], 1, budget).found

@@ -5,31 +5,23 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from astute_np import (ACCURACY_COLOR, ASTUTENESS_COLOR, ChartSpec, Series,
-                       emit_chart, render_chart, sweep_chart)
+from astute_np import ACCURACY_COLOR, ASTUTENESS_COLOR, sweep_chart
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def _spec(out_path=None):
-    return ChartSpec(
-        series=(
-            Series("accuracy", (20, 100, 1000), (0.80, 0.90, 0.99), (0.05, 0.02, 0.01)),
-            Series("astuteness", (20, 100, 1000), (0.60, 0.80, 0.95), (0.08, 0.03, 0.01)),
-        ),
-        title="demo",
-        out_path=out_path,
-    )
+def _chart(tmp_path, sizes=(20, 100, 1000), acc=((0.80, 0.90, 0.99), (0.05, 0.02, 0.01)),
+           ast=((0.60, 0.80, 0.95), (0.08, 0.03, 0.01)), title="demo", name="chart.svg"):
+    return sweep_chart(sizes, *acc, *ast, str(tmp_path / name), title=title)
 
 
-def test_svg_is_well_formed():
-    doc = render_chart(_spec())
-    root = ET.fromstring(doc)
+def test_svg_is_well_formed(tmp_path):
+    root = ET.fromstring(_chart(tmp_path))
     assert root.tag == f"{SVG_NS}svg"
 
 
-def test_marker_counts():
-    root = ET.fromstring(render_chart(_spec()))
+def test_marker_counts(tmp_path):
+    root = ET.fromstring(_chart(tmp_path))
     circles = root.findall(f".//{SVG_NS}circle")
     polylines = root.findall(f".//{SVG_NS}polyline")
     # one marker per point, one data polyline per series (the frame and
@@ -38,28 +30,28 @@ def test_marker_counts():
     assert len(polylines) == 2
 
 
-def test_series_colors_present():
-    doc = render_chart(_spec())
+def test_series_colors_present(tmp_path):
+    doc = _chart(tmp_path)
     assert ACCURACY_COLOR in doc
     assert ASTUTENESS_COLOR in doc
     assert "accuracy" in doc and "astuteness" in doc
 
 
-def test_render_deterministic():
-    assert render_chart(_spec()) == render_chart(_spec())
+def test_render_deterministic(tmp_path):
+    assert _chart(tmp_path, name="a.svg") == _chart(tmp_path, name="b.svg")
 
 
-def test_golden_hash_frozen():
+def test_golden_hash_frozen(tmp_path):
     # catches accidental layout churn; update deliberately when the chart
     # format itself changes
-    digest = hashlib.sha256(render_chart(_spec()).encode()).hexdigest()
+    _chart(tmp_path)
+    digest = hashlib.sha256((tmp_path / "chart.svg").read_bytes()).hexdigest()
     assert digest == "c03e623529dd8c1816f5de0a29cbe08fc008cf851959f51c898a33e15084be27"
 
 
 def test_emit_writes_file(tmp_path):
-    out = tmp_path / "chart.svg"
-    doc = emit_chart(_spec(out_path=str(out)))
-    assert out.read_text() == doc
+    doc = _chart(tmp_path)
+    assert (tmp_path / "chart.svg").read_text() == doc
     ET.fromstring(doc)
 
 
@@ -72,28 +64,26 @@ def test_sweep_chart_writes(tmp_path):
     assert "tiny sweep" in doc
 
 
-def test_log_scale_kicks_in_for_wide_ranges():
-    wide = render_chart(ChartSpec(series=(
-        Series("accuracy", (10, 1000), (0.5, 0.9), (0.0, 0.0)),)))
-    narrow = render_chart(ChartSpec(series=(
-        Series("accuracy", (10, 20), (0.5, 0.9), (0.0, 0.0)),)))
+def test_log_scale_kicks_in_for_wide_ranges(tmp_path):
+    flat = ((0.5, 0.9), (0.0, 0.0))
+    wide = _chart(tmp_path, sizes=(10, 1000), acc=flat, ast=flat)
+    narrow = _chart(tmp_path, sizes=(10, 20), acc=flat, ast=flat)
     # under a log axis the midpoint of 10..1000 is 100; linearly it is 505,
     # so the x tick positions differ between the two documents
     assert wide != narrow
 
 
-def test_series_validation():
+def test_series_validation(tmp_path):
     with pytest.raises(ValueError):
-        render_chart(ChartSpec(series=()))
+        _chart(tmp_path, sizes=(), acc=((), ()), ast=((), ()))
     with pytest.raises(ValueError):
-        render_chart(ChartSpec(series=(Series("a", (1, 2), (0.5,), (0.1,)),)))
+        _chart(tmp_path, sizes=(1, 2), acc=((0.5,), (0.1,)))
     with pytest.raises(ValueError):
-        render_chart(ChartSpec(series=(Series("a", (), (), ()),)))
+        _chart(tmp_path, sizes=(1, 2), ast=((0.5, 0.6), (0.1,)))
 
 
-def test_escaping_in_title():
-    doc = render_chart(ChartSpec(series=(
-        Series("accuracy", (1, 2), (0.5, 0.6), (0.0, 0.0)),),
-        title="a < b & c"))
+def test_escaping_in_title(tmp_path):
+    flat = ((0.5, 0.6), (0.0, 0.0))
+    doc = _chart(tmp_path, sizes=(1, 2), acc=flat, ast=flat, title="a < b & c")
     ET.fromstring(doc)
     assert "a &lt; b &amp; c" in doc

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import astute_np
-from astute_np import read_csv
+from astute_np import ProbeConfig, probe_far_weight, read_csv
 from astute_np.cli import main
 from astute_np.evaluation import SWEEP_CSV_HEADER
 
@@ -115,6 +115,22 @@ def test_train_eval_bad_kernel_exits_2_before_drawing_data(monkeypatch, capsys):
                "--kernel", "bogus"])
     assert rc == 2
     assert "key 'kernel'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [
+    (["train-eval", "--n", "20", "--n-test", "5"], "method"),
+    (["attack", "--train-csv", "t.csv", "--test-csv", "t.csv", "--r", "0.1",
+      "--out", "o.csv"], "method"),
+    (["prune", "--data", "t.csv", "--r", "0.1"], "metric"),
+], ids=["train-eval", "attack", "prune"])
+def test_bad_method_or_metric_exits_2_before_reading_data(monkeypatch, capsys, command, key):
+    def no_data(*args, **kwargs):
+        raise AssertionError(f"data read or drawn before {key} was checked")
+    monkeypatch.setattr("astute_np.cli.generate", no_data)
+    monkeypatch.setattr("astute_np.cli.read_csv", no_data)
+    rc = main([*command, f"--{key}", "bogus"])
+    assert rc == 2
+    assert f"key '{key}'" in capsys.readouterr().err
 
 
 def test_train_eval_method_mismatch_exits_2(capsys):
@@ -252,6 +268,26 @@ def test_sweep_bad_sizes_exits_2(tmp_path, capsys):
     assert "increasing" in capsys.readouterr().err
 
 
+def _assert_unknown_key(tmp_path, capsys, command, key, value):
+    # as a flag argparse rejects the key; in a config file the schema does
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"--{key}", value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert main([*command, "--config", str(cfg)]) == 2
+    assert f"key '{key.replace('-', '_')}': unknown key" in capsys.readouterr().err
+
+
+def test_sweep_hist_root_is_unknown_key(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    _assert_unknown_key(tmp_path, capsys,
+                        ["sweep", "--model", "histogram", "--sizes", "20", "--repeats", "1",
+                         "--n-test", "10", "--out-csv", str(out)], "hist-root", "50,50,1")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # probe
 
@@ -274,19 +310,22 @@ def test_probe_unknown_model_exits_2(capsys):
     assert "key 'model'" in capsys.readouterr().err
 
 
-def test_probe_pruned_needs_radius(capsys):
-    rc = main(["probe", "--pruned", "true", "--sizes", "20", "--draws", "1"])
-    assert rc == 2
-    assert "prune-r" in capsys.readouterr().err
+def test_probe_pruned_key_is_unknown(tmp_path, capsys):
+    _assert_unknown_key(tmp_path, capsys, ["probe", "--sizes", "20", "--draws", "1"],
+                        "pruned", "true")
 
 
-def test_probe_prune_radius_needs_pruned(monkeypatch, capsys):
-    def no_data(*args, **kwargs):
-        raise AssertionError("data drawn before prune-r was checked")
-    monkeypatch.setattr("astute_np.evaluation.generate", no_data)
-    rc = main(["probe", "--prune-r", "0.1", "--sizes", "20", "--draws", "1"])
-    assert rc == 2
-    assert "key 'prune-r'" in capsys.readouterr().err
+def test_probe_prune_radius_selects_pruned_probe(tmp_path):
+    out = tmp_path / "probe.csv"
+    rc = main(["probe", "--prune-r", "0.1", "--sigma", "0.08", "--sizes", "30,60",
+               "--draws", "3", "--seed", "4", "--out", str(out)])
+    assert rc == 0
+    expect = probe_far_weight(ProbeConfig(prune_r=0.1, sigma=0.08, sizes=(30, 60),
+                                          draws=3, seed=4))
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [int(n) for n, _, _ in rows] == [30, 60]
+    assert [float(est) for _, est, _ in rows] == list(expect.estimates)
+    assert [float(se) for _, _, se in rows] == list(expect.std_errors)
 
 
 # ---------------------------------------------------------------------------

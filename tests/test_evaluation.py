@@ -6,9 +6,9 @@ import pytest
 from astute_np import (FOUND, AttackBudget, Dataset, ProbeConfig, RandomStream,
                        ScenarioSpec, SweepConfig, accuracy, adv_prune,
                        attack_all, bayes_gap_demo, convergence_sweep,
-                       empirical_astuteness, generate, is_astute, predict,
-                       probe_far_weight, robust_accuracy_upper_bound,
-                       run_attack, train_histogram, train_knn)
+                       empirical_astuteness, generate, predict,
+                       probe_far_weight, run_attack, train_histogram,
+                       train_knn)
 from astute_np.evaluation import SWEEP_CSV_HEADER
 
 import oracles
@@ -84,7 +84,7 @@ def test_duplicate_rows_share_verdicts():
     test = Dataset(base.points[rep_idx], base.labels[rep_idx])
     budget = AttackBudget(0.1)
     rep = empirical_astuteness(model, test, budget)
-    direct = np.mean([is_astute(model, test.points[i], int(test.labels[i]), budget)
+    direct = np.mean([not run_attack(model, test.points[i], int(test.labels[i]), budget).found
                       for i in range(len(test))])
     assert rep.astuteness == pytest.approx(float(direct), abs=1e-12)
 
@@ -122,7 +122,7 @@ def test_train_astuteness_bounded_by_pruning_fraction():
     for seed in range(3):
         ds = _random_ds(40 + seed, n=35)
         r = 0.08
-        bound = robust_accuracy_upper_bound(ds, r)
+        bound = adv_prune(ds, r).kept_fraction
         for model in (train_knn(ds, k=1), train_histogram(ds)):
             rep = empirical_astuteness(model, ds, AttackBudget(r))
             assert rep.astuteness <= bound + 1e-12

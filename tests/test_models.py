@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astute_np import (GAUSSIAN, INVERSE_POLY, L2, LINF, PLATEAU_EXAMPLE3,
+from astute_np import (GAUSSIAN, INVERSE_POLY, PLATEAU_EXAMPLE3,
                        Dataset, KernelSpec, RandomStream, ScenarioSpec,
                        default_bandwidth, default_cell_threshold, generate,
                        make_model, predict, predict_batch, train_histogram,
@@ -142,7 +142,7 @@ def test_plateau_kernel_uniform_on_far_masses():
 
 
 def test_inverse_poly_kernel_shape():
-    spec = KernelSpec(kind=INVERSE_POLY, p=2.0)
+    spec = KernelSpec(kind=INVERSE_POLY)
     u = np.array([0.0, 1.0, 3.0])
     assert np.allclose(np.exp(spec.log_kernel(u)), [1.0, 0.25, 0.0625])
 

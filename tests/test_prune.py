@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from astute_np import (L2, LINF, Dataset, adv_prune, build_conflict_graph,
-                       max_matching, robust_accuracy_upper_bound, robust_train,
-                       train_knn)
+                       max_matching, train_knn)
 
 import oracles
 
@@ -179,24 +178,13 @@ def test_kept_indices_sorted_and_unique():
 
 
 # ---------------------------------------------------------------------------
-# wrappers
-
-
-def test_upper_bound_is_kept_fraction():
-    ds = _random_ds(5, n=48, box=0.5)
-    r = 0.07
-    assert robust_accuracy_upper_bound(ds, r) == adv_prune(ds, r).kept_fraction
-
-
-def test_upper_bound_rejects_empty():
-    empty = Dataset(np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ValueError):
-        robust_accuracy_upper_bound(empty, 0.1)
+# training on the survivors
 
 
 def test_robust_train_uses_survivors():
     ds = _random_ds(9, n=30, box=0.3)
-    model, pruned = robust_train(ds, 0.1, lambda sub: train_knn(sub, k=1))
+    pruned = adv_prune(ds, 0.1)
+    model = train_knn(ds.subset(pruned.kept), k=1)
     assert model.n == len(pruned.kept)
     assert np.array_equal(model.train.points, ds.points[pruned.kept])
     assert np.array_equal(model.train.labels, ds.labels[pruned.kept])
