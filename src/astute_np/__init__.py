@@ -6,8 +6,7 @@ under the l-inf metric, and the evaluation harness built on them.
 """
 
 from .data import (L2, LINF, MOON_SCALE, Dataset, RandomStream, ScenarioSpec,
-                   distance, example1_posterior, generate,
-                   min_interclass_distance, pairwise_distances, read_csv,
+                   example1_posterior, generate, pairwise_distances, read_csv,
                    write_csv)
 from .models import (GAUSSIAN, INVERSE_POLY, KERNELS, MODELS, PLATEAU_EXAMPLE3,
                      HistogramModel, KernelModel, KernelSpec, KnnModel,
@@ -31,8 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "L2", "LINF", "MOON_SCALE", "Dataset", "RandomStream", "ScenarioSpec",
-    "distance", "example1_posterior", "generate", "min_interclass_distance",
-    "pairwise_distances", "read_csv", "write_csv",
+    "example1_posterior", "generate", "pairwise_distances", "read_csv",
+    "write_csv",
     "GAUSSIAN", "INVERSE_POLY", "KERNELS", "MODELS", "PLATEAU_EXAMPLE3",
     "HistogramModel", "KernelModel", "KernelSpec", "KnnModel",
     "default_bandwidth", "default_cell_threshold", "make_model", "predict",

@@ -279,6 +279,8 @@ def _cmd_gen(params: dict) -> int:
 def _cmd_train_eval(params: dict) -> int:
     with _cfg_guard("attack-r"):
         budget = AttackBudget(params["attack_r"])
+    if params["prune_r"] is not None and params["prune_r"] <= 0:
+        raise ConfigError("prune-r", "must be positive")
     train_ds = _load_or_generate(params, "train_csv", params["n"],
                                  RandomStream(params["seed"], 0))
     test_ds = _load_or_generate(params, "test_csv", params["n_test"],

@@ -27,19 +27,6 @@ MOON_SCALE = 0.4875
 MOON_DY = 0.5
 
 
-def distance(metric: str, a, b) -> float:
-    """Distance between two points under the named metric."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if metric == L2:
-        return float(np.sqrt(np.sum((a - b) ** 2)))
-    if metric == LINF:
-        return float(np.max(np.abs(a - b))) if a.size else 0.0
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def pairwise_distances(metric: str, rows, cols) -> np.ndarray:
     """All distances between two point sets, shape ``(len(rows), len(cols))``."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -189,22 +176,6 @@ def example1_posterior(x, r: float):
     """P(y = +1 | x) for the oscillating-posterior scenario."""
     return np.clip(0.5 + np.sin(4.0 * math.pi * np.asarray(x, dtype=float) / r),
                    0.0, 1.0)
-
-
-def min_interclass_distance(ds: Dataset, metric: str) -> float:
-    """Smallest distance between any +1 point and any -1 point.
-
-    Returns +inf when either class is empty.
-    """
-    plus = ds.points[ds.labels == 1]
-    minus = ds.points[ds.labels == -1]
-    if len(plus) == 0 or len(minus) == 0:
-        return math.inf
-    best = math.inf
-    for start in range(0, len(plus), 512):
-        block = pairwise_distances(metric, plus[start:start + 512], minus)
-        best = min(best, float(block.min()))
-    return best
 
 
 def write_csv(ds: Dataset, path) -> None:

@@ -200,6 +200,8 @@ class ProbeConfig:
             raise ValueError("counts must be positive")
         if not self.sizes or any(n <= 0 for n in self.sizes):
             raise ValueError("sizes must be positive")
+        if self.prune_r is not None and self.prune_r <= 0:
+            raise ValueError("prune_r must be positive")
         if self.prune_r is not None and self.fixed_x is not None:
             raise ValueError("fixed_x and prune_r exclude each other: "
                              "the pruned probe averages over the pruned points")

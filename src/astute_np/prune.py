@@ -9,12 +9,20 @@ alternating-reachability construction of Koenig's theorem.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .data import Dataset, LINF, pairwise_distances
+from .data import Dataset, L2, LINF, pairwise_distances
+
+#: +1 points per sweep block in ``build_conflict_graph``.
+_BLOCK = 256
+
+#: Smallest half-width of an L2 sweep window: a coordinate difference below
+#: it can square to an underflow, and then to a distance <= 2r.
+_L2_MIN_REACH = 2.0 ** -511
 
 
 @dataclass
@@ -30,6 +38,17 @@ class ConflictGraph:
     right: np.ndarray
     adj: list
     edge_count: int
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``adj`` as compressed rows ``(indptr, indices)``: the neighbours of
+        left position i are ``indices[indptr[i]:indptr[i + 1]]``."""
+        indptr = np.zeros(len(self.adj) + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, self.adj), dtype=np.intp, count=len(self.adj)),
+                  out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.intp,
+                              count=int(indptr[-1]))
+        return indptr, indices
 
 
 @dataclass
@@ -48,19 +67,83 @@ class PrunedSet:
 
 def build_conflict_graph(ds: Dataset, r: float, metric: str = LINF) -> ConflictGraph:
     """Edges join opposite-label pairs at distance <= 2r (closed condition,
-    no epsilon: equality is a conflict)."""
+    no epsilon: equality is a conflict).
+
+    The +1 points are swept in blocks of ``_BLOCK`` by their first
+    coordinate, and each block is tested only against the -1 points whose
+    first coordinate lies within 2r of the block's range.  The edges are
+    exactly those of the dense rule ``pairwise_distances(metric, lp, rp) <= 2r``.
+    """
     if r <= 0:
         raise ValueError("r must be positive")
+    two_r = 2.0 * r
+    reach = max(two_r, _L2_MIN_REACH) if metric == L2 else two_r
     left = np.flatnonzero(ds.labels == 1)
     right = np.flatnonzero(ds.labels == -1)
     adj: list = [[] for _ in range(len(left))]
     if len(left) and len(right):
         lp = ds.points[left]
         rp = ds.points[right]
-        for start in range(0, len(left), 256):
-            block = pairwise_distances(metric, lp[start:start + 256], rp) <= 2.0 * r
-            adj[start:start + len(block)] = [np.flatnonzero(row).tolist() for row in block]
+        r0 = rp[:, 0]
+        order = np.argsort(lp[:, 0], kind="stable")
+        for start in range(0, len(left), _BLOCK):
+            blk = order[start:start + _BLOCK]
+            x0 = lp[blk, 0]
+            # The window holds every conflict of the block.  For l-inf a
+            # conflict needs fl(|l0 - r0|) <= 2r; the window tests the same
+            # float subtraction from the block's extreme first coordinate, and
+            # rounding is monotone, so the bound carries over with no pad.
+            # For L2 the computed distance is never below the computed
+            # x = l0 - r0: a sum of squares rounds to at least each square,
+            # and sqrt(fl(x * x)) == |x| unless x * x underflows, which needs
+            # |x| < 2**-511, hence the floor on the reach.
+            win = np.flatnonzero((x0.min() - r0 <= reach) & (r0 - x0.max() <= reach))
+            pts, cols = lp[blk], rp[win]
+            if metric == LINF:
+                close = np.abs(pts[:, :1] - cols[:, 0]) <= two_r
+                for j in range(1, ds.dim):
+                    close &= np.abs(pts[:, j:j + 1] - cols[:, j]) <= two_r
+            else:
+                close = pairwise_distances(metric, pts, cols) <= two_r
+            # np.nonzero walks rows in order and win is ascending, so each
+            # row's slice of flat is its ascending adjacency list
+            flat = win[np.nonzero(close)[1]].tolist()
+            ends = np.cumsum(np.count_nonzero(close, axis=1)).tolist()
+            for u, a, b in zip(blk.tolist(), [0] + ends, ends):
+                adj[u] = flat[a:b]
     return ConflictGraph(left, right, adj, sum(map(len, adj)))
+
+
+def _alternating_layers(g: ConflictGraph, pair_l, pair_r) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first layers of the alternating search from the free left
+    vertices: non-matching edges to the right, matching edges back.
+
+    Returns ``(dist, seen_r)``: each left vertex's layer (``inf`` when
+    unreached) and which right vertices some reached left vertex touches.
+    A whole layer is expanded at once through ``g.csr``; layer numbers do
+    not depend on the order vertices are visited in.
+    """
+    indptr, indices = g.csr
+    pair_r = np.asarray(pair_r, dtype=np.intp)
+    dist = np.full(len(g.left), np.inf)
+    seen_r = np.zeros(len(g.right), dtype=bool)
+    frontier = np.flatnonzero(np.asarray(pair_l, dtype=np.intp) == -1)
+    dist[frontier] = 0
+    layer = 0
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        edge = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        edge += np.arange(len(edge))
+        v = indices[edge]
+        seen_r[v] = True
+        w = pair_r[v]
+        w = w[w >= 0]
+        w = w[dist[w] == np.inf]
+        layer += 1
+        dist[w] = layer
+        frontier = np.flatnonzero(dist == layer)
+    return dist, seen_r
 
 
 def max_matching(g: ConflictGraph) -> tuple[list, list]:
@@ -73,28 +156,7 @@ def max_matching(g: ConflictGraph) -> tuple[list, list]:
     nl, nr = len(g.left), len(g.right)
     pair_l = [-1] * nl
     pair_r = [-1] * nr
-    dist = [0] * nl
     INF = float("inf")
-
-    def bfs() -> bool:
-        q = deque()
-        for u in range(nl):
-            if pair_l[u] == -1:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = INF
-        reachable_free = False
-        while q:
-            u = q.popleft()
-            for v in g.adj[u]:
-                w = pair_r[v]
-                if w == -1:
-                    reachable_free = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return reachable_free
 
     def dfs(root: int) -> None:
         # depth-first search kept on an explicit stack of (vertex, adjacency
@@ -122,7 +184,12 @@ def max_matching(g: ConflictGraph) -> tuple[list, list]:
                 if via:
                     via.pop()
 
-    while bfs():
+    while True:
+        layers, seen_r = _alternating_layers(g, pair_l, pair_r)
+        # a phase augments only while some reached edge ends at a free vertex
+        if not np.any(np.array(pair_r)[seen_r] == -1):
+            break
+        dist = layers.tolist()
         for u in range(nl):
             if pair_l[u] == -1:
                 dfs(u)
@@ -141,29 +208,8 @@ def adv_prune(ds: Dataset, r: float, metric: str = LINF) -> PrunedSet:
     g = build_conflict_graph(ds, r, metric)
     pair_l, pair_r = max_matching(g)
     matched = sum(1 for v in pair_l if v != -1)
-
-    nl, nr = len(g.left), len(g.right)
-    seen_l = [False] * nl
-    seen_r = [False] * nr
-    q = deque()
-    for u in range(nl):
-        if pair_l[u] == -1:
-            seen_l[u] = True
-            q.append(u)
-    while q:
-        u = q.popleft()
-        for v in g.adj[u]:
-            if not seen_r[v]:
-                seen_r[v] = True
-                w = pair_r[v]
-                if w != -1 and not seen_l[w]:
-                    seen_l[w] = True
-                    q.append(w)
-
-    kept = np.concatenate([
-        g.left[np.array(seen_l, dtype=bool)] if nl else np.empty(0, dtype=int),
-        g.right[~np.array(seen_r, dtype=bool)] if nr else np.empty(0, dtype=int),
-    ]).astype(int)
+    dist, seen_r = _alternating_layers(g, pair_l, pair_r)
+    kept = np.concatenate([g.left[dist < np.inf], g.right[~seen_r]]).astype(int)
     kept.sort()
     assert len(kept) == len(ds) - matched
     return PrunedSet(kept=kept, matching_size=matched, n=len(ds))

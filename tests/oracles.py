@@ -6,7 +6,12 @@ definitions, not from the library internals, so agreement is meaningful.
 
 from __future__ import annotations
 
+import math
+from collections import deque
+
 import numpy as np
+
+from astute_np import L2, LINF, pairwise_distances
 
 
 def linf(a, b) -> float:
@@ -16,6 +21,35 @@ def linf(a, b) -> float:
 def l2(a, b) -> float:
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     return float(np.sqrt(np.sum(d * d)))
+
+
+def distance(metric: str, a, b) -> float:
+    """Distance between two points under the named metric."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if metric == L2:
+        return float(np.sqrt(np.sum((a - b) ** 2)))
+    if metric == LINF:
+        return float(np.max(np.abs(a - b))) if a.size else 0.0
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def min_interclass_distance(ds, metric: str) -> float:
+    """Smallest distance between any +1 point and any -1 point.
+
+    Returns +inf when either class is empty.
+    """
+    plus = ds.points[ds.labels == 1]
+    minus = ds.points[ds.labels == -1]
+    if len(plus) == 0 or len(minus) == 0:
+        return math.inf
+    best = math.inf
+    for start in range(0, len(plus), 512):
+        block = pairwise_distances(metric, plus[start:start + 512], minus)
+        best = min(best, float(block.min()))
+    return best
 
 
 def conflict_adjacency(points, labels, r, dist=linf):
@@ -54,6 +88,70 @@ def max_separated_subset_size(points, labels, r, dist=linf) -> int:
         return best
 
     return mis((1 << n) - 1)
+
+
+def hopcroft_karp_reference(adj, n_right: int) -> tuple[list, list]:
+    """Hopcroft-Karp on adjacency lists, the breadth-first search one vertex
+    at a time from a queue.
+
+    ``adj[u]`` lists the right vertices of left vertex u.  Free left vertices
+    are tried in ascending order and each list in its own order, as in the
+    library, so a matching with the same tie rule is identical.
+    """
+    nl = len(adj)
+    pair_l = [-1] * nl
+    pair_r = [-1] * n_right
+    dist = [0] * nl
+    INF = float("inf")
+
+    def bfs() -> bool:
+        q = deque()
+        for u in range(nl):
+            if pair_l[u] == -1:
+                dist[u] = 0
+                q.append(u)
+            else:
+                dist[u] = INF
+        reachable_free = False
+        while q:
+            u = q.popleft()
+            for v in adj[u]:
+                w = pair_r[v]
+                if w == -1:
+                    reachable_free = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    q.append(w)
+        return reachable_free
+
+    def dfs(root: int) -> None:
+        stack = [(root, iter(adj[root]))]
+        via: list = []
+        while stack:
+            u, edges = stack[-1]
+            for v in edges:
+                w = pair_r[v]
+                if w == -1:
+                    via.append(v)
+                    for (a, _), b in zip(stack, via):
+                        pair_l[a] = b
+                        pair_r[b] = a
+                    return
+                if dist[w] == dist[u] + 1:
+                    via.append(v)
+                    stack.append((w, iter(adj[w])))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
+                if via:
+                    via.pop()
+
+    while bfs():
+        for u in range(nl):
+            if pair_l[u] == -1:
+                dfs(u)
+    return pair_l, pair_r
 
 
 def knn_weights_oracle(points, query, k: int, dist=l2) -> np.ndarray:

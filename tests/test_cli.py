@@ -133,6 +133,21 @@ def test_bad_method_or_metric_exits_2_before_reading_data(monkeypatch, capsys, c
     assert f"key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key", [
+    (["train-eval", "--n", "30", "--n-test", "5", "--prune-r", "0"], "prune-r"),
+    (["probe", "--sizes", "20", "--draws", "1", "--prune-r", "-1"], "probe"),
+], ids=["train-eval", "probe"])
+def test_nonpositive_prune_radius_exits_2_before_drawing_data(monkeypatch, capsys,
+                                                              command, key):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data drawn before the prune radius was checked")
+    monkeypatch.setattr("astute_np.cli.generate", no_data)
+    monkeypatch.setattr("astute_np.evaluation.generate", no_data)
+    rc = main(command)
+    assert rc == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+
+
 def test_train_eval_method_mismatch_exits_2(capsys):
     rc = main(["train-eval", "--scenario", "half_moons", "--n", "60",
                "--n-test", "10", "--model", "knn", "--k", "3",

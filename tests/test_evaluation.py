@@ -255,6 +255,9 @@ def test_probe_validation():
         probe_far_weight(ProbeConfig(model="forest"))
     with pytest.raises(ValueError, match="unknown kernel"):
         probe_far_weight(ProbeConfig(model="kernel", kernel="bogus"))
+    for prune_r in (0.0, -1.0):
+        with pytest.raises(ValueError, match="prune_r"):
+            probe_far_weight(ProbeConfig(prune_r=prune_r))
 
 
 def test_pruned_probe_rejects_fixed_query():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from astute_np import (L2, LINF, Dataset, adv_prune, build_conflict_graph,
-                       max_matching, train_knn)
+from astute_np import (L2, LINF, ConflictGraph, Dataset, adv_prune,
+                       build_conflict_graph, max_matching, pairwise_distances,
+                       train_knn)
 
 import oracles
 
@@ -47,6 +48,95 @@ def test_conflict_at_exactly_two_r():
     assert build_conflict_graph(ds, 0.0999).edge_count == 0
 
 
+def _dense_adj(ds, r, metric):
+    """Adjacency lists of the all-pairs rule the sweep must reproduce."""
+    close = pairwise_distances(metric, ds.points[ds.labels == 1],
+                               ds.points[ds.labels == -1]) <= 2.0 * r
+    return [np.flatnonzero(row).tolist() for row in close]
+
+
+def _assert_sweep_exact(ds, r, metric, oracle=True):
+    g = build_conflict_graph(ds, r, metric)
+    if (ds.labels == 1).any() and (ds.labels == -1).any():
+        assert g.adj == _dense_adj(ds, r, metric)
+    else:
+        assert g.adj == [[]] * len(g.left)
+    if oracle:
+        dist = oracles.l2 if metric == L2 else oracles.linf
+        adj = oracles.conflict_adjacency(ds.points, ds.labels, r, dist)
+        left, right = g.left.tolist(), g.right.tolist()
+        expected = {(u, v) for u in left for v in right if adj[u] >> v & 1}
+        assert {(left[i], right[j]) for i, row in enumerate(g.adj) for j in row} == expected
+    return g
+
+
+def _lattice_chain(n, d, r, offset, seed):
+    """Points at offset + r * k along the first axis, labelled ++--++--, so
+    every +1 point has -1 neighbours at exactly r and exactly 2r.  Other
+    coordinates sit on the same lattice, 0 to 2 steps from offset."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(n)
+    pts = offset + r * np.column_stack([k] + [rng.integers(0, 3, n) for _ in range(d - 1)])
+    return Dataset(pts, np.where(k % 4 < 2, 1, -1))
+
+
+@pytest.mark.parametrize("metric", [LINF, L2])
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
+@pytest.mark.parametrize("r", [0.125, 0.1])
+def test_sweep_exact_across_blocks_and_offsets(metric, offset, r):
+    # 600 +1 points fill three 256-row blocks; with r = 0.125 the lattice is
+    # exact, so the last +1 point of a block (k = 509) meets a -1 point
+    # (k = 511) at exactly 2r, on the edge of the block's window.  With
+    # r = 0.1 at large offsets the subtractions round, and a pad relative
+    # to r would be too small.
+    ds = _lattice_chain(1200, 2, r, offset, seed=1)
+    g = _assert_sweep_exact(ds, r, metric, oracle=False)
+    if r == 0.125:
+        u, v = np.searchsorted(g.left, 509), np.searchsorted(g.right, 511)
+        assert ds.points[g.right[v], 0] - ds.points[g.left[u], 0] == 2 * r
+        assert (v in g.adj[u]) == (metric == LINF or ds.points[509, 1] == ds.points[511, 1])
+
+
+@pytest.mark.parametrize("metric", [LINF, L2])
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sweep_matches_oracle(metric, offset, d):
+    rng = np.random.default_rng(int(offset) % 97 + d)
+    pts, labels = oracles.random_two_class(rng, 80, d)
+    _assert_sweep_exact(Dataset(offset + pts, labels), 0.1, metric)
+    _assert_sweep_exact(_lattice_chain(60, d, 0.125, offset, seed=d), 0.125, metric)
+
+
+@pytest.mark.parametrize("metric", [LINF, L2])
+def test_sweep_tied_first_coordinates(metric):
+    # three distinct first coordinates: every block shares them, and
+    # the windows overlap completely
+    rng = np.random.default_rng(5)
+    pts = np.column_stack([0.2 * rng.integers(0, 3, 700), rng.uniform(0, 1, 700)])
+    ds = Dataset(pts, np.where(rng.random(700) < 0.5, 1, -1))
+    _assert_sweep_exact(ds, 0.05, metric, oracle=False)
+    _assert_sweep_exact(ds.subset(np.arange(90)), 0.05, metric)
+
+
+@pytest.mark.parametrize("metric", [LINF, L2])
+@pytest.mark.parametrize("label", [1, -1])
+def test_sweep_one_class(metric, label):
+    rng = np.random.default_rng(3)
+    ds = Dataset(rng.uniform(0, 1, (300, 2)), np.full(300, label))
+    g = _assert_sweep_exact(ds, 0.2, metric)
+    assert g.edge_count == 0
+
+
+def test_sweep_l2_tiny_radius():
+    # the first coordinates differ by 1e-163, whose square underflows to 0,
+    # so the computed L2 distance is 0 <= 2r although |l0 - r0| > 2r; the
+    # sweep must keep the edge the dense rule finds
+    ds = Dataset(np.array([[0.0, 0.0], [1e-163, 0.0]]), np.array([1, -1]))
+    g = _assert_sweep_exact(ds, 5e-171, L2, oracle=False)
+    assert g.edge_count == 1
+    assert build_conflict_graph(ds, 5e-171, LINF).edge_count == 0
+
+
 def test_conflict_requires_positive_radius():
     ds = _random_ds(1, n=6)
     with pytest.raises(ValueError):
@@ -76,16 +166,20 @@ def test_matching_is_valid():
     assert len(matched_r) == len(set(matched_r))
 
 
-def test_long_augmenting_path_does_not_recurse():
+def _chain(m):
     # 1-D chain L_m R_0 L_0 R_1 ... L_{m-1} R_m, spacing 0.15, so only
     # neighbours conflict at r = 0.1.  With L_m (x = 0) listed last, the
     # first phase matches L_i with R_i, and the second finds one augmenting
     # path through the whole chain, far longer than the recursion limit.
-    m = 2000
     pos = 0.15 * np.arange(2 * m + 2)
     labels = np.where(np.arange(2 * m + 2) % 2 == 0, 1, -1)
     order = np.r_[1:2 * m + 2, 0]
-    ds = Dataset(pos[order, None], labels[order])
+    return Dataset(pos[order, None], labels[order])
+
+
+def test_long_augmenting_path_does_not_recurse():
+    m = 2000
+    ds = _chain(m)
     pruned = adv_prune(ds, 0.1)
     assert pruned.matching_size == m + 1
     assert len(pruned.kept) == m + 1
@@ -93,6 +187,40 @@ def test_long_augmenting_path_does_not_recurse():
     kept_labels = ds.labels[pruned.kept]
     close = np.abs(kept_pos[:, None] - kept_pos[None, :]) <= 0.2
     assert not np.any(close & (kept_labels[:, None] != kept_labels[None, :]))
+
+
+def _graph(adj, nr):
+    return ConflictGraph(np.arange(len(adj)), np.arange(nr), adj, sum(map(len, adj)))
+
+
+def _assert_matches_reference(g):
+    ref = oracles.hopcroft_karp_reference(g.adj, len(g.right))
+    assert max_matching(g) == ref
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_matching_matches_reference_random(seed):
+    rng = np.random.default_rng(400 + seed)
+    nl, nr = rng.integers(1, 120, 2)
+    density = rng.choice([0.01, 0.05, 0.3])
+    adj = [np.flatnonzero(rng.random(nr) < density).tolist() for _ in range(nl)]
+    _assert_matches_reference(_graph(adj, nr))
+
+
+def test_matching_matches_reference_special_graphs():
+    for nl, nr in ((0, 0), (0, 5), (5, 0)):
+        g = _graph([[] for _ in range(nl)], nr)
+        assert max_matching(g) == ([-1] * nl, [-1] * nr)
+    # isolated vertices on both sides
+    _assert_matches_reference(_graph([[], [1, 3], [], [3], [], [1]], 6))
+    for nl, nr in ((1, 1), (4, 7), (7, 4), (30, 30)):
+        _assert_matches_reference(_graph([list(range(nr))] * nl, nr))
+
+
+def test_matching_matches_reference_on_data():
+    _assert_matches_reference(build_conflict_graph(_chain(2000), 0.1))
+    ds = _random_ds(13, n=1500, box=2.0)
+    _assert_matches_reference(build_conflict_graph(ds, 0.1))
 
 
 # ---------------------------------------------------------------------------
