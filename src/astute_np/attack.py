@@ -2,8 +2,9 @@
 
 Exact attacks exist for two families:
 
-* histograms, whose decision regions are a finite list of axis-aligned
-  cells plus the -1 exterior of the root cube, and
+* histograms, whose decision regions are finite lists of axis-aligned
+  boxes (``HistogramModel.regions``; the -1 region includes the exterior of
+  the root cube), and
 * 1-nearest-neighbor in 2-D, whose decision regions are intersections of
   halfspaces (one bisector per training point pair).
 
@@ -64,59 +65,31 @@ class AttackResult:
 def histogram_attack(model: HistogramModel, x, y: int, budget: AttackBudget) -> AttackResult:
     """Exact minimal l-inf adversarial radius against a histogram.
 
-    Scans every leaf labeled differently from y, plus (for y = +1) the
-    exterior of the root cube, which the classifier labels -1 by default.
-    The returned radius is the exact infimum; the witness is nudged just
-    inside the open faces so that it actually misclassifies.
+    Scans every box of ``model.regions[-y]``, the region the model labels
+    -y; for y = +1 that includes the exterior of the root cube.  The
+    returned radius is the exact infimum, and ties go to the first nearest
+    box in ``regions`` order.  The witness is nudged just inside the open
+    faces so that it actually misclassifies.  ``x`` must be finite.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    rlo = model.root_lo
-    rhi = model.root_lo + model.root_side
-    # the model predicts -1 outside the root and each leaf's label inside
-    # it, so x is mispredicted iff it lies in a target leaf's box or, for
-    # y = +1, outside the root
-    if y == 1 and (np.any(x < rlo) or np.any(x >= rhi)):
+    if not np.all(np.isfinite(x)):
+        raise ValueError("query must be finite")
+    lo, hi = model.regions[-y]
+    if len(lo) == 0:
+        return AttackResult(CERTIFIED_ASTUTE)
+    gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+    dists = gap.max(axis=1)
+    j = int(np.argmin(dists))
+    best = float(dists[j])
+    # distance 0 means x is in a closed box; in the half-open one it is
+    # already mispredicted
+    if best == 0.0 and np.any(np.all(x < hi[dists == 0.0], axis=1)):
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
-
-    best = np.inf
-    witness = None
-
-    target = model.leaf_label != y
-    if np.any(target):
-        # leaf_hi holds the exact split boundaries, so clipping into
-        # [lo, hi) lands in the leaf with certainty, not merely up to an ulp
-        lo = model.leaf_lo[target]
-        hi = model.leaf_hi[target]
-        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-        dists = gap.max(axis=1)
-        j = int(np.argmin(dists))
-        best = float(dists[j])
-        if best == 0.0:
-            # distance 0 means x is in a closed box; in the half-open one
-            # it is already mispredicted
-            touching = dists == 0.0
-            if np.any(np.all(x < hi[touching], axis=1)):
-                return AttackResult(FOUND, witness=x.copy(), radius=0.0)
-        # clip into the cell, then back off the open upper faces by one ulp
-        w = np.minimum(np.maximum(x, lo[j]), np.nextafter(hi[j], -np.inf))
-        witness = w
-
-    if y == 1:
-        low_gap = x - rlo          # crossing below lo: open side
-        high_gap = rhi - x         # reaching hi exactly is already outside
-        j_low = int(np.argmin(low_gap))
-        j_high = int(np.argmin(high_gap))
-        if low_gap[j_low] <= high_gap[j_high]:
-            ext_d, ext_j, ext_high = float(low_gap[j_low]), j_low, False
-        else:
-            ext_d, ext_j, ext_high = float(high_gap[j_high]), j_high, True
-        if ext_d < best:
-            best = ext_d
-            w = x.copy()
-            w[ext_j] = rhi[ext_j] if ext_high else np.nextafter(rlo[ext_j], -np.inf)
-            witness = w
-
     if best <= budget.r + budget.tol:
+        # clip into the box, then back off its open upper faces by one ulp;
+        # the bounds are the exact split boundaries, so the witness lands in
+        # the box with certainty, not merely up to an ulp
+        witness = np.minimum(np.maximum(x, lo[j]), np.nextafter(hi[j], -np.inf))
         return AttackResult(FOUND, witness=witness, radius=best)
     return AttackResult(CERTIFIED_ASTUTE)
 

@@ -311,11 +311,10 @@ def _cmd_train_eval(params: dict) -> int:
 
 
 def _cmd_prune(params: dict) -> int:
+    if params["r"] <= 0:
+        raise ConfigError("r", "must be positive")
     ds = read_csv(params["data"])
-    with _cfg_guard("r"):
-        if params["r"] <= 0:
-            raise ValueError("r must be positive")
-        result = adv_prune(ds, params["r"], metric=params["metric"])
+    result = adv_prune(ds, params["r"], metric=params["metric"])
     print(f"kept {len(result.kept)} of {result.n} "
           f"(fraction {result.kept_fraction:.4f}, matching {result.matching_size})")
     if params["out"] is not None:
@@ -346,10 +345,10 @@ def attack_report(model, test: Dataset, budget: AttackBudget, out_path,
 
 
 def _cmd_attack(params: dict) -> int:
-    train_ds = read_csv(params["train_csv"])
-    test_ds = read_csv(params["test_csv"])
     with _cfg_guard("r"):
         budget = AttackBudget(params["r"])
+    train_ds = read_csv(params["train_csv"])
+    test_ds = read_csv(params["test_csv"])
     model = _make_model(params, train_ds)
     non_astute = attack_report(model, test_ds, budget, params["out"],
                                method=params["method"], resolution=params["resolution"])

@@ -158,8 +158,7 @@ def generate(spec: ScenarioSpec, stream: RandomStream) -> Dataset:
         return Dataset(pts, labels)
     if spec.kind == "example1":
         x = rng.uniform(0.0, 1.0, n)
-        posterior = np.clip(0.5 + np.sin(4.0 * math.pi * x / spec.r), 0.0, 1.0)
-        labels = np.where(rng.random(n) < posterior, 1, -1)
+        labels = np.where(rng.random(n) < example1_posterior(x, spec.r), 1, -1)
         return Dataset(x.reshape(-1, 1), labels)
     if spec.kind == "example2":
         plus = rng.random(n) < 0.5

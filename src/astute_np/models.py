@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -135,7 +136,6 @@ _LOOKUP_CELLS = 1 << 20
 @dataclass
 class HistogramModel:
     train: Dataset
-    kn: int
     root_lo: np.ndarray
     root_side: float
     # parallel per-leaf arrays; leaf_lo / leaf_hi hold the exact split
@@ -179,6 +179,28 @@ class HistogramModel:
             hit = inside[np.arange(len(block)), first]
             out[start:start + len(block)][hit] = first[hit]
         return out
+
+    @cached_property
+    def regions(self) -> dict:
+        """Where the model predicts each label, as half-open boxes
+        ``{label: (lo, hi)}``, each of shape (boxes, d).
+
+        ``regions[+1]`` holds the +1 leaves.  ``regions[-1]`` holds the -1
+        leaves, then the root's exterior as 2d slabs unbounded (+-inf) in
+        every other coordinate: first ``x_j < root_lo_j`` for each j, then
+        ``x_j >= root_lo_j + root_side`` for each j.  Scans that take the
+        first nearest box inherit this order as their tie rule: leaves before
+        the exterior, low faces before high ones, lower coordinates first.
+        """
+        d = len(self.root_lo)
+        inf = np.full((d, d), np.inf)
+        axis = np.eye(d, dtype=bool)
+        plus = self.leaf_label > 0
+        return {1: (self.leaf_lo[plus], self.leaf_hi[plus]),
+                -1: (np.concatenate([self.leaf_lo[~plus], -inf,
+                                     np.where(axis, self.root_lo + self.root_side, -inf)]),
+                     np.concatenate([self.leaf_hi[~plus],
+                                     np.where(axis, self.root_lo, inf), inf]))}
 
 
 def train_histogram(ds: Dataset, kn: Optional[int] = None,
@@ -257,7 +279,7 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
 
     leaf_vote = np.array(leaf_vote)
     return HistogramModel(
-        train=ds, kn=kn, root_lo=lo, root_side=side,
+        train=ds, root_lo=lo, root_side=side,
         leaf_lo=np.array(leaf_lo), leaf_hi=np.array(leaf_hi),
         leaf_side=np.array(leaf_side), leaf_vote=leaf_vote,
         leaf_label=np.where(leaf_vote > 0, 1, -1).astype(np.int8),

@@ -203,6 +203,28 @@ def leaf_cells(model):
             for i in range(len(model.leaf_vote))]
 
 
+def histogram_attack_radius(model, x, y: int) -> float:
+    """Brute-force l-inf distance from x to where the histogram predicts -y
+    (0 when x is already there, inf when that region is empty).
+
+    The minimum over every leaf cell of label -y, measured to
+    ``[lo, lo + side)``, and for y = +1 over the root cube's faces, outside
+    of which the model predicts -1.  Reads neither ``leaf_hi`` nor
+    ``regions``.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1)
+    cells = [(lo, side) for lo, side, label in leaf_cells(model) if label == -y]
+    best = math.inf
+    if cells:
+        lo = np.array([lo for lo, _ in cells])
+        best = float(linf_cell_distance(x, lo, [side for _, side in cells]).min())
+    if y == 1:
+        lo = np.asarray(model.root_lo, dtype=float)
+        face_gaps = np.concatenate([x - lo, lo + model.root_side - x])
+        best = min(best, max(0.0, float(face_gaps.min())))
+    return best
+
+
 def histogram_walk_leaf(model, x) -> int:
     """Leaf id of x found by descending the split tree, or -1 outside the
     root.

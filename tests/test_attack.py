@@ -205,6 +205,47 @@ def test_histogram_found_monotone_in_r():
         assert all(abs(a - radii[0]) <= 1e-12 for a in radii)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_histogram_attack_matches_brute_force_radius(d):
+    rng = np.random.default_rng(40 + d)
+    budget = AttackBudget(0.1)
+    for trial in range(8):
+        ds = _random_ds(1000 * d + trial, n=int(rng.integers(10, 80)), d=d)
+        root = None if trial % 2 else (np.full(d, -0.25), 1.5)
+        model = train_histogram(ds, kn=int(rng.integers(1, 6)), root=root)
+        for x in rng.uniform(-0.4, 1.4, (40, d)):
+            for y in (1, -1):
+                res = histogram_attack(model, x, y, budget)
+                want = oracles.histogram_attack_radius(model, x, y)
+                assert res.found == (want <= budget.r + budget.tol)
+                if res.found:
+                    assert res.radius == pytest.approx(want, abs=1e-12)
+
+
+def test_histogram_tie_low_face_before_high_face():
+    ds = Dataset(np.array([[0.1], [0.9]]), np.array([1, 1]))
+    model = train_histogram(ds, root=(np.array([0.0]), 1.0))
+    res = histogram_attack(model, [0.5], 1, AttackBudget(0.5))
+    assert res.found and res.radius == 0.5
+    assert res.witness[0] < 0.0
+
+
+def test_histogram_tie_leaf_before_exterior():
+    # the -1 leaf [0.5, 1) and the exterior below 0 are both 0.25 away
+    ds = Dataset(np.array([[0.3], [0.8]]), np.array([1, -1]))
+    model = train_histogram(ds, kn=1, root=(np.array([0.0]), 1.0))
+    res = histogram_attack(model, [0.25], 1, AttackBudget(0.3))
+    assert res.found and res.radius == 0.25
+    assert res.witness[0] == 0.5
+
+
+def test_histogram_attack_rejects_non_finite_query():
+    model = _example2_model(n=200)
+    for x in ([np.inf], [-np.inf], [np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            histogram_attack(model, x, 1, AttackBudget(0.1))
+
+
 # ---------------------------------------------------------------------------
 # exact 1-NN attack
 

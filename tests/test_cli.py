@@ -148,6 +148,19 @@ def test_nonpositive_prune_radius_exits_2_before_drawing_data(monkeypatch, capsy
     assert f"key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["prune", "--data", "t.csv", "--r", "0"],
+    ["attack", "--train-csv", "t.csv", "--test-csv", "t.csv", "--r", "0", "--out", "o.csv"],
+], ids=["prune", "attack"])
+def test_nonpositive_radius_exits_2_before_reading_data(monkeypatch, capsys, command):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data read before the radius was checked")
+    monkeypatch.setattr("astute_np.cli.read_csv", no_data)
+    rc = main(command)
+    assert rc == 2
+    assert "key 'r'" in capsys.readouterr().err
+
+
 def test_train_eval_method_mismatch_exits_2(capsys):
     rc = main(["train-eval", "--scenario", "half_moons", "--n", "60",
                "--n-test", "10", "--model", "knn", "--k", "3",

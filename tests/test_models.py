@@ -268,6 +268,22 @@ def test_histogram_leaf_index_matches_tree_walk(d, origin):
                            for leaf in walked])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_histogram_regions_are_the_predicted_sets(d):
+    rng = np.random.default_rng(60 + d)
+    ds = _random_ds(61 + d, n=80, d=d)
+    model = train_histogram(ds, kn=3)
+    queries = _leaf_lookup_queries(model, rng)
+    pred = predict_batch(model, queries)
+    for label in (1, -1):
+        lo, hi = model.regions[label]
+        inside = np.all((lo <= queries[:, None]) & (queries[:, None] < hi), axis=2)
+        # exterior slabs overlap at the root's corners; leaves are disjoint
+        assert np.array_equal(inside.any(axis=1), pred == label)
+        assert inside[:, :np.sum(model.leaf_label == label)].sum(axis=1).max() <= 1
+    assert len(model.regions[-1][0]) - np.sum(model.leaf_label < 0) == 2 * d
+
+
 def test_histogram_root_must_cover_data():
     ds = Dataset(np.array([[0.5], [1.5]]), np.array([1, -1]))
     with pytest.raises(ValueError):
