@@ -9,10 +9,10 @@ from .data import (L2, LINF, MOON_SCALE, Dataset, RandomStream, ScenarioSpec,
                    example1_posterior, generate, pairwise_distances, read_csv,
                    write_csv)
 from .models import (GAUSSIAN, INVERSE_POLY, KERNELS, MODELS, PLATEAU_EXAMPLE3,
-                     HistogramModel, KernelModel, KernelSpec, KnnModel,
-                     default_bandwidth, default_cell_threshold, make_model,
-                     predict, predict_batch, train_histogram, train_kernel,
-                     train_knn, weights, weights_batch)
+                     HistogramModel, KernelModel, KnnModel, default_bandwidth,
+                     default_cell_threshold, make_model, predict, predict_batch,
+                     train_histogram, train_kernel, train_knn, weights,
+                     weights_batch)
 from .prune import (ConflictGraph, PrunedSet, adv_prune, build_conflict_graph,
                     max_matching)
 from .attack import (CERTIFIED_ASTUTE, FOUND, UNKNOWN, AttackBudget,
@@ -33,10 +33,9 @@ __all__ = [
     "example1_posterior", "generate", "pairwise_distances", "read_csv",
     "write_csv",
     "GAUSSIAN", "INVERSE_POLY", "KERNELS", "MODELS", "PLATEAU_EXAMPLE3",
-    "HistogramModel", "KernelModel", "KernelSpec", "KnnModel",
-    "default_bandwidth", "default_cell_threshold", "make_model", "predict",
-    "predict_batch", "train_histogram", "train_kernel", "train_knn", "weights",
-    "weights_batch",
+    "HistogramModel", "KernelModel", "KnnModel", "default_bandwidth",
+    "default_cell_threshold", "make_model", "predict", "predict_batch",
+    "train_histogram", "train_kernel", "train_knn", "weights", "weights_batch",
     "ConflictGraph", "PrunedSet", "adv_prune", "build_conflict_graph",
     "max_matching",
     "CERTIFIED_ASTUTE", "FOUND", "UNKNOWN", "AttackBudget",

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, require_positive
 from .models import HistogramModel, KnnModel, predict, predict_batch
 
 FOUND = "found"
@@ -43,8 +43,7 @@ class AttackBudget:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("r must be positive")
+        require_positive("r", self.r)
 
 
 @dataclass(frozen=True)
@@ -270,7 +269,7 @@ def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float,
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     d = x.shape[0]
-    if resolution <= 0 or resolution > budget.r:
+    if not 0 < resolution <= budget.r:
         raise ValueError("resolution must lie in (0, r]")
     steps = int(np.floor(budget.r / resolution + 1e-12))
     total = (2 * steps + 1) ** d

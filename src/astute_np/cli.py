@@ -9,13 +9,14 @@ a message naming the offending key; runtime failures exit with code 1.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
 from .data import (L2, LINF, Dataset, RandomStream, ScenarioSpec, generate,
-                   read_csv, write_csv)
+                   read_csv, require_positive, write_csv)
 from .models import GAUSSIAN, KERNELS, MODELS, make_model
 from .attack import FOUND, METHODS, AttackBudget, AttackMethodError, attack_all
 from .evaluation import (DEFAULT_SIZES, ProbeConfig, SweepConfig,
@@ -32,40 +33,57 @@ class ConfigError(Exception):
 
 
 @contextmanager
-def _cfg_guard(key: str = "parameters"):
-    """Turn validation ValueErrors raised while building configs into
-    ConfigError so they map to exit code 2."""
+def _cfg_guard(key: str):
+    """Turn the ValueError of a rule that spans several keys, raised while
+    building a config, into ConfigError so it maps to exit code 2."""
     try:
         yield
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
 # parameter schemas
+# Each cast also checks its key's range, so an out-of-range, NaN or infinite
+# value exits 2 naming its key before any data is read or drawn; the
+# scenario's own keys (sigma, its r) are checked with the scenario kind.
 
 
-def _cast_opt_float(s: str):
-    return None if s.strip().lower() in ("", "none") else float(s)
+def _cast_positive(s: str) -> float:
+    return require_positive("value", float(s))
 
 
-def _cast_opt_int(s: str):
-    return None if s.strip().lower() in ("", "none") else int(s)
+def _cast_at_least(lo: int):
+    def cast(s: str) -> int:
+        val = int(s)
+        if val < lo:
+            raise ValueError(f"must be >= {lo}")
+        return val
+    return cast
+
+
+def _cast_opt(cast):
+    return lambda s: None if s.strip().lower() in ("", "none") else cast(s)
 
 
 def _cast_int_list(s: str) -> tuple:
-    vals = tuple(int(tok) for tok in s.split(",") if tok.strip())
+    vals = tuple(_cast_at_least(1)(tok) for tok in s.split(",") if tok.strip())
     if not vals:
         raise ValueError("empty list")
     return vals
 
 
-def _cast_float_list(s: str):
-    if s.strip().lower() in ("", "none"):
-        return None
-    return tuple(float(tok) for tok in s.split(",") if tok.strip())
+def _cast_float_list(s: str) -> tuple:
+    vals = tuple(float(tok) for tok in s.split(",") if tok.strip())
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("non-finite entry")
+    return vals
+
+
+def _cast_hist_root(s: str) -> tuple:
+    vals = _cast_float_list(s)
+    require_positive("the side length", vals[-1] if vals else 0.0)
+    return vals
 
 
 def _cast_choice(choices: tuple):
@@ -80,15 +98,16 @@ def _cast_choice(choices: tuple):
 _FAMILY_KEYS = [
     ("model", _cast_choice(MODELS), "knn", False,
      f"classifier family: {' | '.join(MODELS)}"),
-    ("k", int, 1, False, "neighbor count for knn"),
+    ("k", _cast_at_least(1), 1, False, "neighbor count for knn"),
     ("kernel", _cast_choice(KERNELS), GAUSSIAN, False,
      f"kernel kind: {' | '.join(KERNELS)}"),
 ]
-_KN_KEY = ("kn", _cast_opt_int, None, False, "histogram split threshold (default n^(1/3) rule)")
+_KN_KEY = ("kn", _cast_opt(_cast_at_least(1)), None, False,
+           "histogram split threshold (default n^(1/3) rule)")
 _MODEL_KEYS = [
     *_FAMILY_KEYS,
     _KN_KEY,
-    ("hist-root", _cast_float_list, None, False,
+    ("hist-root", _cast_opt(_cast_hist_root), None, False,
      "histogram root cube: d min-corner coords then the side length "
      "(default: data bounding cube)"),
 ]
@@ -98,7 +117,7 @@ _METHOD_KEY = ("method", _cast_choice(METHODS), "auto", False,
 _SCHEMAS = {
     "gen": [
         ("scenario", str, None, True, "half_moons | example1 | example2 | example3"),
-        ("n", int, None, True, "sample count"),
+        ("n", _cast_at_least(0), None, True, "sample count"),
         ("sigma", float, 0.0, False, "half-moons noise level"),
         ("r", float, 0.1, False, "example1 oscillation scale"),
         ("seed", int, 0, False, "random seed"),
@@ -106,23 +125,23 @@ _SCHEMAS = {
     ],
     "train-eval": [
         ("scenario", str, "half_moons", False, "scenario when generating data"),
-        ("n", int, 1000, False, "training size when generating"),
-        ("n-test", int, 1000, False, "test size when generating"),
+        ("n", _cast_at_least(0), 1000, False, "training size when generating"),
+        ("n-test", _cast_at_least(0), 1000, False, "test size when generating"),
         ("sigma", float, 0.0, False, "half-moons noise level"),
         ("scenario-r", float, 0.1, False, "example1 oscillation scale"),
         ("train-csv", str, None, False, "training data path (overrides generation)"),
         ("test-csv", str, None, False, "test data path (overrides generation)"),
         *_MODEL_KEYS,
-        ("attack-r", float, 0.1, False, "robustness radius"),
-        ("prune-r", _cast_opt_float, None, False, "prune training data at this radius"),
+        ("attack-r", _cast_positive, 0.1, False, "robustness radius"),
+        ("prune-r", _cast_opt(_cast_positive), None, False, "prune training data at this radius"),
         _METHOD_KEY,
-        ("resolution", float, 1e-3, False, "grid attack resolution"),
+        ("resolution", _cast_positive, 1e-3, False, "grid attack resolution"),
         ("seed", int, 0, False, "random seed"),
         ("out", str, None, False, "also write the report to this path"),
     ],
     "prune": [
         ("data", str, None, True, "input CSV path"),
-        ("r", float, None, True, "separation radius"),
+        ("r", _cast_positive, None, True, "separation radius"),
         ("metric", _cast_choice((L2, LINF)), LINF, False, f"{L2} | {LINF}"),
         ("out", str, None, False, "write the kept subset to this CSV path"),
     ],
@@ -130,9 +149,9 @@ _SCHEMAS = {
         ("train-csv", str, None, True, "training data path"),
         ("test-csv", str, None, True, "points to attack"),
         *_MODEL_KEYS,
-        ("r", float, None, True, "attack budget radius"),
+        ("r", _cast_positive, None, True, "attack budget radius"),
         _METHOD_KEY,
-        ("resolution", float, 1e-3, False, "grid attack resolution"),
+        ("resolution", _cast_positive, 1e-3, False, "grid attack resolution"),
         ("out", str, None, True, "report CSV path"),
     ],
     "sweep": [
@@ -141,12 +160,12 @@ _SCHEMAS = {
         *_FAMILY_KEYS,
         _KN_KEY,
         ("sizes", _cast_int_list, DEFAULT_SIZES, False, "comma-separated training sizes"),
-        ("repeats", int, 5, False, "repeats per size"),
-        ("n-test", int, 1000, False, "test size"),
-        ("attack-r", float, 0.1, False, "robustness radius"),
-        ("prune-r", _cast_opt_float, None, False, "prune radius (omit to disable)"),
+        ("repeats", _cast_at_least(1), 5, False, "repeats per size"),
+        ("n-test", _cast_at_least(1), 1000, False, "test size"),
+        ("attack-r", _cast_positive, 0.1, False, "robustness radius"),
+        ("prune-r", _cast_opt(_cast_positive), None, False, "prune radius (omit to disable)"),
         ("scenario-r", float, 0.1, False, "example1 oscillation scale"),
-        ("resolution", float, 1e-3, False, "grid attack resolution"),
+        ("resolution", _cast_positive, 1e-3, False, "grid attack resolution"),
         ("seed", int, 0, False, "random seed"),
         ("out-csv", str, None, True, "results CSV path"),
         ("out-svg", str, None, False, "chart SVG path"),
@@ -156,23 +175,23 @@ _SCHEMAS = {
         ("scenario", str, "half_moons", False, "scenario"),
         ("sigma", float, 0.0, False, "noise level"),
         *_FAMILY_KEYS,
-        ("a", float, 0.05, False, "inner (perturbation) radius"),
-        ("b", float, 0.1, False, "outer (far-point) radius"),
+        ("a", _cast_positive, 0.05, False, "inner (perturbation) radius"),
+        ("b", _cast_positive, 0.1, False, "outer (far-point) radius"),
         ("sizes", _cast_int_list, (100, 1000), False, "training sizes to probe"),
-        ("draws", int, 400, False, "Monte-Carlo draws per size"),
-        ("boundary", int, 64, False, "ball boundary candidates"),
-        ("interior", int, 16, False, "ball interior candidates"),
-        ("prune-r", _cast_opt_float, None, False,
+        ("draws", _cast_at_least(1), 400, False, "Monte-Carlo draws per size"),
+        ("boundary", _cast_at_least(1), 64, False, "ball boundary candidates"),
+        ("interior", _cast_at_least(0), 16, False, "ball interior candidates"),
+        ("prune-r", _cast_opt(_cast_positive), None, False,
          "probe the pruned-training condition at this radius (omit for the unpruned probe)"),
-        ("fixed-x", _cast_float_list, None, False,
+        ("fixed-x", _cast_opt(_cast_float_list), None, False,
          "fixed query point (comma coords); not with prune-r"),
         ("scenario-r", float, 0.1, False, "example1 oscillation scale"),
         ("seed", int, 0, False, "random seed"),
         ("out", str, None, False, "results CSV path"),
     ],
     "demo-example1": [
-        ("r", float, 0.1, False, "robustness radius / oscillation scale"),
-        ("n", int, 2000, False, "test draw size"),
+        ("r", _cast_positive, 0.1, False, "robustness radius / oscillation scale"),
+        ("n", _cast_at_least(1), 2000, False, "test draw size"),
         ("seed", int, 0, False, "random seed"),
     ],
 }
@@ -254,10 +273,9 @@ def _load_or_generate(params: dict, csv_key: str, n: int, stream: RandomStream) 
     path = params.get(csv_key)
     if path is not None:
         return read_csv(path)
-    spec = ScenarioSpec(params["scenario"], n, sigma=params["sigma"],
-                        r=params["scenario_r"])
     with _cfg_guard("scenario"):
-        spec.validate()
+        spec = ScenarioSpec(params["scenario"], n, sigma=params["sigma"],
+                            r=params["scenario_r"])
     return generate(spec, stream)
 
 
@@ -266,10 +284,9 @@ def _load_or_generate(params: dict, csv_key: str, n: int, stream: RandomStream) 
 
 
 def _cmd_gen(params: dict) -> int:
-    spec = ScenarioSpec(params["scenario"], params["n"], sigma=params["sigma"],
-                        r=params["r"])
     with _cfg_guard("scenario"):
-        spec.validate()
+        spec = ScenarioSpec(params["scenario"], params["n"], sigma=params["sigma"],
+                            r=params["r"])
     ds = generate(spec, RandomStream(params["seed"], 0))
     write_csv(ds, params["out"])
     print(f"wrote {len(ds)} points to {params['out']}")
@@ -277,10 +294,7 @@ def _cmd_gen(params: dict) -> int:
 
 
 def _cmd_train_eval(params: dict) -> int:
-    with _cfg_guard("attack-r"):
-        budget = AttackBudget(params["attack_r"])
-    if params["prune_r"] is not None and params["prune_r"] <= 0:
-        raise ConfigError("prune-r", "must be positive")
+    budget = AttackBudget(params["attack_r"])
     train_ds = _load_or_generate(params, "train_csv", params["n"],
                                  RandomStream(params["seed"], 0))
     test_ds = _load_or_generate(params, "test_csv", params["n_test"],
@@ -311,8 +325,6 @@ def _cmd_train_eval(params: dict) -> int:
 
 
 def _cmd_prune(params: dict) -> int:
-    if params["r"] <= 0:
-        raise ConfigError("r", "must be positive")
     ds = read_csv(params["data"])
     result = adv_prune(ds, params["r"], metric=params["metric"])
     print(f"kept {len(result.kept)} of {result.n} "
@@ -345,8 +357,7 @@ def attack_report(model, test: Dataset, budget: AttackBudget, out_path,
 
 
 def _cmd_attack(params: dict) -> int:
-    with _cfg_guard("r"):
-        budget = AttackBudget(params["r"])
+    budget = AttackBudget(params["r"])
     train_ds = read_csv(params["train_csv"])
     test_ds = read_csv(params["test_csv"])
     model = _make_model(params, train_ds)
@@ -358,15 +369,14 @@ def _cmd_attack(params: dict) -> int:
 
 
 def _cmd_sweep(params: dict) -> int:
-    cfg = SweepConfig(scenario=params["scenario"], sigma=params["sigma"],
-                      model=params["model"], k=params["k"], kn=params["kn"],
-                      kernel=params["kernel"], sizes=tuple(params["sizes"]),
-                      repeats=params["repeats"], n_test=params["n_test"],
-                      attack_r=params["attack_r"], prune_r=params["prune_r"],
-                      scenario_r=params["scenario_r"],
-                      resolution=params["resolution"], seed=params["seed"])
     with _cfg_guard("sweep"):
-        cfg.validate()
+        cfg = SweepConfig(scenario=params["scenario"], sigma=params["sigma"],
+                          model=params["model"], k=params["k"], kn=params["kn"],
+                          kernel=params["kernel"], sizes=tuple(params["sizes"]),
+                          repeats=params["repeats"], n_test=params["n_test"],
+                          attack_r=params["attack_r"], prune_r=params["prune_r"],
+                          scenario_r=params["scenario_r"],
+                          resolution=params["resolution"], seed=params["seed"])
     result = convergence_sweep(cfg)
     result.to_csv(params["out_csv"])
     print(f"wrote {params['out_csv']}")
@@ -382,16 +392,15 @@ def _cmd_sweep(params: dict) -> int:
 
 
 def _cmd_probe(params: dict) -> int:
-    cfg = ProbeConfig(scenario=params["scenario"], sigma=params["sigma"],
-                      model=params["model"], k=params["k"], kernel=params["kernel"],
-                      a=params["a"], b=params["b"], sizes=tuple(params["sizes"]),
-                      draws=params["draws"], boundary_candidates=params["boundary"],
-                      interior_candidates=params["interior"],
-                      prune_r=params["prune_r"],
-                      fixed_x=params["fixed_x"], scenario_r=params["scenario_r"],
-                      seed=params["seed"])
     with _cfg_guard("probe"):
-        cfg.validate()
+        cfg = ProbeConfig(scenario=params["scenario"], sigma=params["sigma"],
+                          model=params["model"], k=params["k"], kernel=params["kernel"],
+                          a=params["a"], b=params["b"], sizes=tuple(params["sizes"]),
+                          draws=params["draws"], boundary_candidates=params["boundary"],
+                          interior_candidates=params["interior"],
+                          prune_r=params["prune_r"],
+                          fixed_x=params["fixed_x"], scenario_r=params["scenario_r"],
+                          seed=params["seed"])
     result = probe_far_weight(cfg)
     lines = ["n,estimate,std_error"]
     for i, n in enumerate(result.sizes):
@@ -405,8 +414,7 @@ def _cmd_probe(params: dict) -> int:
 
 
 def _cmd_demo_example1(params: dict) -> int:
-    with _cfg_guard("r"):
-        report = bayes_gap_demo(params["r"], params["n"], seed=params["seed"])
+    report = bayes_gap_demo(params["r"], params["n"], seed=params["seed"])
     print(f"bayes accuracy = {report.bayes_accuracy:.4f}")
     print(f"bayes astuteness = {report.bayes_astuteness:.4f}")
     print(f"constant(+1) accuracy = {report.const_accuracy:.4f}")

@@ -9,7 +9,7 @@ defined in terms of training indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,13 @@ MOON_SCALE = 0.4875
 
 #: Vertical offset between the arc centers, in arc-radius units.
 MOON_DY = 0.5
+
+
+def require_positive(name: str, value):
+    """``value`` if finite and > 0, else ValueError (NaN too, unlike ``<= 0``)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
 
 
 def pairwise_distances(metric: str, rows, cols) -> np.ndarray:
@@ -93,7 +100,7 @@ class Dataset:
         return Dataset(self.points[idx], self.labels[idx])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioSpec:
     """Which synthetic distribution to draw from and how much of it.
 
@@ -112,15 +119,15 @@ class ScenarioSpec:
     sigma: float = 0.0
     r: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("half_moons", "example1", "example2", "example3"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.n < 0:
+        if not self.n >= 0:
             raise ValueError("n must be >= 0")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.kind == "example1" and self.r <= 0:
-            raise ValueError("r must be > 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be >= 0 and finite")
+        if self.kind == "example1":
+            require_positive("r", self.r)
 
 
 def generate(spec: ScenarioSpec, stream: RandomStream) -> Dataset:
@@ -144,7 +151,6 @@ def generate(spec: ScenarioSpec, stream: RandomStream) -> Dataset:
         1-D point masses: (x, y) = (-1, -1) with probability 0.1 and
         (+1, +1) with probability 0.9.
     """
-    spec.validate()
     rng = stream.generator()
     n = spec.n
     if spec.kind == "half_moons":

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .data import (LINF, Dataset, RandomStream, ScenarioSpec,
-                   example1_posterior, generate, pairwise_distances)
+                   example1_posterior, generate, pairwise_distances,
+                   require_positive)
 from .models import GAUSSIAN, KERNELS, MODELS, make_model, predict_batch, weights
 from .attack import FOUND, AttackBudget, attack_all
 from .prune import adv_prune
@@ -62,11 +63,17 @@ def empirical_astuteness(model, test: Dataset, budget: AttackBudget,
 # convergence sweep
 
 
-def _check_names(model: str, kernel: str) -> None:
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}")
+def _check_shared(cfg) -> None:
+    """Rules sweep and probe configs share, the scenario's through ``ScenarioSpec``."""
+    if cfg.model not in MODELS:
+        raise ValueError(f"unknown model {cfg.model!r}")
+    if cfg.kernel not in KERNELS:
+        raise ValueError(f"unknown kernel {cfg.kernel!r}")
+    ScenarioSpec(cfg.scenario, 0, sigma=cfg.sigma, r=cfg.scenario_r)
+    if not cfg.sizes or not all(n >= 1 for n in cfg.sizes):
+        raise ValueError("sizes must be positive")
+    if cfg.prune_r is not None:
+        require_positive("prune_r", cfg.prune_r)
 
 
 @dataclass(frozen=True)
@@ -86,20 +93,13 @@ class SweepConfig:
     resolution: float = 1e-3
     seed: int = 0
 
-    def validate(self):
-        if not self.sizes or any(n <= 0 for n in self.sizes):
-            raise ValueError("sizes must be positive")
+    def __post_init__(self):
+        _check_shared(self)
         if list(self.sizes) != sorted(set(self.sizes)):
             raise ValueError("sizes must be strictly increasing")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if self.n_test < 1:
-            raise ValueError("n_test must be >= 1")
-        if self.attack_r <= 0:
-            raise ValueError("attack_r must be positive")
-        if self.prune_r is not None and self.prune_r <= 0:
-            raise ValueError("prune_r must be positive")
-        _check_names(self.model, self.kernel)
+        if not (self.repeats >= 1 and self.n_test >= 1):
+            raise ValueError("repeats and n_test must be >= 1")
+        require_positive("attack_r", self.attack_r)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,6 @@ def convergence_sweep(cfg: SweepConfig) -> SweepResult:
     Cells are independent jobs with dedicated random streams, so the result
     is identical whether they run serially or across a process pool.
     """
-    cfg.validate()
     jobs = [(n, i * cfg.repeats + j)
             for i, n in enumerate(cfg.sizes) for j in range(cfg.repeats)]
     workers = _worker_count(len(jobs))
@@ -193,19 +192,16 @@ class ProbeConfig:
     scenario_r: float = 0.1
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
+        _check_shared(self)
         if not 0 < self.a < self.b:
             raise ValueError("need 0 < a < b")
-        if self.draws < 1 or self.boundary_candidates < 1 or self.interior_candidates < 0:
+        if not (self.draws >= 1 and self.boundary_candidates >= 1
+                and self.interior_candidates >= 0):
             raise ValueError("counts must be positive")
-        if not self.sizes or any(n <= 0 for n in self.sizes):
-            raise ValueError("sizes must be positive")
-        if self.prune_r is not None and self.prune_r <= 0:
-            raise ValueError("prune_r must be positive")
         if self.prune_r is not None and self.fixed_x is not None:
             raise ValueError("fixed_x and prune_r exclude each other: "
                              "the pruned probe averages over the pruned points")
-        _check_names(self.model, self.kernel)
 
 
 @dataclass(frozen=True)
@@ -252,7 +248,6 @@ def probe_far_weight(cfg: ProbeConfig) -> ProbeResult:
     over the ball is lower-bounded by a finite candidate set, which is all
     the trend assertions need.
     """
-    cfg.validate()
     root = RandomStream(cfg.seed, 0)
     est = np.empty(len(cfg.sizes))
     se = np.empty(len(cfg.sizes))
@@ -306,8 +301,8 @@ def bayes_gap_demo(r: float, n: int, seed: int = 0) -> BayesGapReport:
     every r/4, so no interval of width 2r is constant, while the constant
     rule is trivially robust and keeps the majority class's astuteness.
     """
-    if r <= 0 or n <= 0:
-        raise ValueError("r and n must be positive")
+    require_positive("r", r)
+    require_positive("n", n)
     ds = generate(ScenarioSpec("example1", n, r=r), RandomStream(seed, 0))
     x = ds.points[:, 0]
     y = ds.labels

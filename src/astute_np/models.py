@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, L2, pairwise_distances
+from .data import Dataset, L2, pairwise_distances, require_positive
 
 GAUSSIAN = "gaussian"
 PLATEAU_EXAMPLE3 = "plateau_example3"
@@ -60,8 +60,9 @@ class KnnModel:
 def train_knn(ds: Dataset, k: int = 1) -> KnnModel:
     if len(ds) == 0:
         raise ValueError("empty training set")
-    k = max(1, min(int(k), len(ds)))
-    return KnnModel(ds, k)
+    if not k >= 1:
+        raise ValueError("k must be >= 1")
+    return KnnModel(ds, min(int(k), len(ds)))
 
 
 def _knn_neighbor_rows(model: KnnModel, queries: np.ndarray) -> np.ndarray:
@@ -79,32 +80,22 @@ def _knn_neighbor_rows(model: KnnModel, queries: np.ndarray) -> np.ndarray:
 # kernel
 
 
-@dataclass
-class KernelSpec:
-    kind: str = GAUSSIAN
-
-    def __post_init__(self):
-        if self.kind not in KERNELS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-
-    def log_kernel(self, u: np.ndarray) -> np.ndarray:
-        """log K(u) for scaled distances u >= 0."""
-        if self.kind == GAUSSIAN:
-            return -np.square(u)
-        if self.kind == PLATEAU_EXAMPLE3:
-            # flattens beyond u = 0.2, so far points keep substantial weight
-            return -np.square(np.minimum(np.abs(u), 0.2))
-        if self.kind == INVERSE_POLY:
-            # K(u) = (1 + u)^(-2): heavy tail, decays too slowly for
-            # concentration; kept as a deliberately ill-behaved contrast case
-            return -2.0 * np.log1p(u)
-        raise ValueError(f"unknown kernel kind {self.kind!r}")
+def log_kernel(kind: str, u: np.ndarray) -> np.ndarray:
+    """log K(u) of kernel ``kind`` (one of ``KERNELS``) at scaled distances u >= 0."""
+    if kind == GAUSSIAN:
+        return -np.square(u)
+    if kind == PLATEAU_EXAMPLE3:
+        # flattens beyond u = 0.2, so far points keep substantial weight
+        return -np.square(np.minimum(np.abs(u), 0.2))
+    # INVERSE_POLY, K(u) = (1 + u)^(-2): heavy tail, decays too slowly for
+    # concentration; kept as a deliberately ill-behaved contrast case
+    return -2.0 * np.log1p(u)
 
 
 @dataclass
 class KernelModel:
     train: Dataset
-    spec: KernelSpec
+    kind: str
     h: float
 
     @property
@@ -112,16 +103,14 @@ class KernelModel:
         return len(self.train)
 
 
-def train_kernel(ds: Dataset, spec: Optional[KernelSpec] = None,
+def train_kernel(ds: Dataset, kind: str = GAUSSIAN,
                  h: Optional[float] = None) -> KernelModel:
     if len(ds) == 0:
         raise ValueError("empty training set")
-    spec = spec or KernelSpec()
-    if h is None:
-        h = default_bandwidth(len(ds), ds.dim)
-    if h <= 0:
-        raise ValueError("bandwidth must be positive")
-    return KernelModel(ds, spec, float(h))
+    if kind not in KERNELS:
+        raise ValueError(f"unknown kernel kind {kind!r}")
+    h = default_bandwidth(len(ds), ds.dim) if h is None else h
+    return KernelModel(ds, kind, float(require_positive("h", h)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +213,7 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
         raise ValueError("empty training set")
     if kn is None:
         kn = default_cell_threshold(len(ds))
-    if kn < 1:
+    if not kn >= 1:
         raise ValueError("cell threshold must be >= 1")
     pts = ds.points
     d = ds.dim
@@ -232,12 +221,11 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
         # explicit roots are taken exactly as given so cell boundaries land on
         # the coordinates the caller asked for; the caller owns coverage
         lo = np.asarray(root[0], dtype=float).reshape(-1)
-        side = float(root[1])
+        side = require_positive("root side", float(root[1]))
         if lo.shape[0] != d:
             raise ValueError("root dimension mismatch")
-        if side <= 0:
-            raise ValueError("root side must be positive")
-        if np.any(pts < lo) or np.any(pts >= lo + side):
+        # asked as "all inside" so that a NaN corner fails it
+        if not (np.all(lo <= pts) and np.all(pts < lo + side)):
             raise ValueError("explicit root does not cover the data")
     else:
         lo = pts.min(axis=0)
@@ -299,7 +287,7 @@ def make_model(kind: str, ds: Dataset, *, k: int = 1, kn: Optional[int] = None,
     if kind == "histogram":
         return train_histogram(ds, kn=kn, root=root)
     if kind == "kernel":
-        return train_kernel(ds, KernelSpec(kind=kernel))
+        return train_kernel(ds, kind=kernel)
     raise ValueError(f"unknown model {kind!r}")
 
 
@@ -330,7 +318,7 @@ def weights_batch(model, queries: np.ndarray) -> np.ndarray:
         return out
     if isinstance(model, KernelModel):
         u = pairwise_distances(L2, queries, model.train.points) / model.h
-        logk = model.spec.log_kernel(u)
+        logk = log_kernel(model.kind, u)
         # divide through by the max kernel value before normalizing: exact in
         # real arithmetic, and keeps tiny bandwidths from flushing every
         # numerator to zero

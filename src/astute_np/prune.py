@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .data import Dataset, L2, LINF, pairwise_distances
+from .data import Dataset, L2, LINF, pairwise_distances, require_positive
 
 #: +1 points per sweep block in ``build_conflict_graph``.
 _BLOCK = 256
@@ -74,8 +74,7 @@ def build_conflict_graph(ds: Dataset, r: float, metric: str = LINF) -> ConflictG
     first coordinate lies within 2r of the block's range.  The edges are
     exactly those of the dense rule ``pairwise_distances(metric, lp, rp) <= 2r``.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    require_positive("r", r)
     two_r = 2.0 * r
     reach = max(two_r, _L2_MIN_REACH) if metric == L2 else two_r
     left = np.flatnonzero(ds.labels == 1)
@@ -153,6 +152,12 @@ def max_matching(g: ConflictGraph) -> tuple[list, list]:
     Free vertices are processed in ascending position order and adjacency
     lists are ascending, so the result is deterministic.
     """
+    return _hopcroft_karp(g)[:2]
+
+
+def _hopcroft_karp(g: ConflictGraph) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """``max_matching``'s pairs, then the ``(dist, seen_r)`` of the final
+    alternating search, the one that found no augmenting path."""
     nl, nr = len(g.left), len(g.right)
     pair_l = [-1] * nl
     pair_r = [-1] * nr
@@ -188,12 +193,11 @@ def max_matching(g: ConflictGraph) -> tuple[list, list]:
         layers, seen_r = _alternating_layers(g, pair_l, pair_r)
         # a phase augments only while some reached edge ends at a free vertex
         if not np.any(np.array(pair_r)[seen_r] == -1):
-            break
+            return pair_l, pair_r, layers, seen_r
         dist = layers.tolist()
         for u in range(nl):
             if pair_l[u] == -1:
                 dfs(u)
-    return pair_l, pair_r
 
 
 def adv_prune(ds: Dataset, r: float, metric: str = LINF) -> PrunedSet:
@@ -203,12 +207,12 @@ def adv_prune(ds: Dataset, r: float, metric: str = LINF) -> PrunedSet:
     positions (non-matching edges leftward, matching edges rightward); the
     maximum independent set is the reachable left side plus the unreachable
     right side.  Isolated vertices are unmatched and unreachable-from-nothing
-    as appropriate, so they are always kept.
+    as appropriate, so they are always kept.  The matching's last, failed
+    phase search is that BFS, so its layers are reused.
     """
     g = build_conflict_graph(ds, r, metric)
-    pair_l, pair_r = max_matching(g)
+    pair_l, _, dist, seen_r = _hopcroft_karp(g)
     matched = sum(1 for v in pair_l if v != -1)
-    dist, seen_r = _alternating_layers(g, pair_l, pair_r)
     kept = np.concatenate([g.left[dist < np.inf], g.right[~seen_r]]).astype(int)
     kept.sort()
     assert len(kept) == len(ds) - matched

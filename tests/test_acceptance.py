@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astute_np import (CERTIFIED_ASTUTE, PLATEAU_EXAMPLE3, AttackBudget,
-                       Dataset, KernelSpec, ProbeConfig, RandomStream,
+                       Dataset, ProbeConfig, RandomStream,
                        ScenarioSpec, SweepConfig, accuracy, adv_prune,
                        bayes_gap_demo, convergence_sweep, empirical_astuteness,
                        generate, grid_attack, histogram_attack,
@@ -141,7 +141,7 @@ def test_criterion_06_plateau_kernel_astuteness_cap():
     for seed in range(20):
         train = generate(ScenarioSpec("example3", 1000), RandomStream(seed, 1))
         test = generate(ScenarioSpec("example3", 4000), RandomStream(seed, 2))
-        model = train_kernel(train, KernelSpec(kind=PLATEAU_EXAMPLE3))
+        model = train_kernel(train, kind=PLATEAU_EXAMPLE3)
         rep = empirical_astuteness(model, test, budget, resolution=1e-3)
         asts.append(rep.astuteness)
         res = run_attack(model, [-1.0], -1, budget, method="grid", resolution=1e-3)

@@ -135,8 +135,20 @@ def test_bad_method_or_metric_exits_2_before_reading_data(monkeypatch, capsys, c
 
 @pytest.mark.parametrize("command, key", [
     (["train-eval", "--n", "30", "--n-test", "5", "--prune-r", "0"], "prune-r"),
-    (["probe", "--sizes", "20", "--draws", "1", "--prune-r", "-1"], "probe"),
-], ids=["train-eval", "probe"])
+    (["probe", "--sizes", "20", "--draws", "1", "--prune-r", "-1"], "prune-r"),
+    (["train-eval", "--n", "30", "--n-test", "5", "--prune-r", "nan"], "prune-r"),
+    (["train-eval", "--n", "30", "--n-test", "5", "--attack-r", "nan"], "attack-r"),
+    (["sweep", "--sizes", "20", "--repeats", "1", "--out-csv", "o.csv",
+      "--attack-r", "nan"], "attack-r"),
+    (["probe", "--sizes", "20", "--draws", "1", "--prune-r", "nan"], "prune-r"),
+    (["demo-example1", "--r", "nan"], "r"),
+    (["demo-example1", "--n", "-5"], "n"),
+    (["train-eval", "--n", "30", "--n-test", "5", "--k", "0"], "k"),
+    (["train-eval", "--n", "30", "--n-test", "5", "--model", "histogram",
+      "--kn", "0"], "kn"),
+], ids=["train-eval", "probe", "train-eval-prune-nan", "train-eval-attack-nan",
+        "sweep-attack-nan", "probe-nan", "demo-r-nan", "demo-n-negative",
+        "train-eval-k-0", "train-eval-kn-0"])
 def test_nonpositive_prune_radius_exits_2_before_drawing_data(monkeypatch, capsys,
                                                               command, key):
     def no_data(*args, **kwargs):
@@ -148,17 +160,25 @@ def test_nonpositive_prune_radius_exits_2_before_drawing_data(monkeypatch, capsy
     assert f"key '{key}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["prune", "--data", "t.csv", "--r", "0"],
-    ["attack", "--train-csv", "t.csv", "--test-csv", "t.csv", "--r", "0", "--out", "o.csv"],
-], ids=["prune", "attack"])
-def test_nonpositive_radius_exits_2_before_reading_data(monkeypatch, capsys, command):
+_ATTACK = ["attack", "--train-csv", "t.csv", "--test-csv", "t.csv", "--out", "o.csv"]
+
+
+@pytest.mark.parametrize("command, key", [
+    (["prune", "--data", "t.csv", "--r", "0"], "r"),
+    ([*_ATTACK, "--r", "0"], "r"),
+    (["prune", "--data", "t.csv", "--r", "nan"], "r"),
+    ([*_ATTACK, "--model", "histogram", "--r", "nan"], "r"),
+    ([*_ATTACK, "--r", "0.1", "--method", "grid", "--resolution", "nan"], "resolution"),
+    ([*_ATTACK, "--r", "inf", "--method", "grid"], "r"),
+], ids=["prune", "attack", "prune-nan", "attack-nan", "attack-resolution-nan",
+        "attack-grid-inf"])
+def test_nonpositive_radius_exits_2_before_reading_data(monkeypatch, capsys, command, key):
     def no_data(*args, **kwargs):
         raise AssertionError("data read before the radius was checked")
     monkeypatch.setattr("astute_np.cli.read_csv", no_data)
     rc = main(command)
     assert rc == 2
-    assert "key 'r'" in capsys.readouterr().err
+    assert f"key '{key}'" in capsys.readouterr().err
 
 
 def test_train_eval_method_mismatch_exits_2(capsys):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astute_np import (L2, LINF, MOON_SCALE, Dataset, RandomStream,
-                       ScenarioSpec, example1_posterior, generate,
-                       pairwise_distances, read_csv, write_csv)
+from astute_np import (L2, LINF, MOON_SCALE, AttackBudget, Dataset,
+                       ProbeConfig, RandomStream, ScenarioSpec, SweepConfig,
+                       bayes_gap_demo, build_conflict_graph, example1_posterior,
+                       generate, grid_attack, pairwise_distances, read_csv,
+                       train_histogram, train_kernel, train_knn, write_csv)
 
 import oracles
 from oracles import distance, min_interclass_distance
@@ -113,11 +115,38 @@ def test_dataset_validation():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        ScenarioSpec("mystery", 5).validate()
+        ScenarioSpec("mystery", 5)
     with pytest.raises(ValueError):
-        ScenarioSpec("half_moons", 5, sigma=-0.1).validate()
+        ScenarioSpec("half_moons", 5, sigma=-0.1)
     with pytest.raises(ValueError):
-        ScenarioSpec("example1", 5, r=0.0).validate()
+        ScenarioSpec("example1", 5, r=0.0)
+
+
+_LINE = Dataset(np.array([[0.0], [0.5]]), np.array([1, -1]))
+
+# (constructor taking one value, name the error must give); each must reject
+# NaN and infinity, which a bare ``value <= 0`` test lets through
+_PARAMETERS = {
+    "AttackBudget": (AttackBudget, "r"),
+    "build_conflict_graph": (lambda v: build_conflict_graph(_LINE, v), "r"),
+    "SweepConfig.attack_r": (lambda v: SweepConfig(attack_r=v), "attack_r"),
+    "ProbeConfig.prune_r": (lambda v: ProbeConfig(prune_r=v), "prune_r"),
+    "ScenarioSpec.sigma": (lambda v: ScenarioSpec("half_moons", 5, sigma=v), "sigma"),
+    "ScenarioSpec.r": (lambda v: ScenarioSpec("example1", 5, r=v), "r"),
+    "train_kernel.h": (lambda v: train_kernel(_LINE, h=v), "h"),
+    "train_histogram.root": (lambda v: train_histogram(_LINE, root=([0.0], v)), "root side"),
+    "grid_attack.resolution": (lambda v: grid_attack(train_knn(_LINE), [0.0], 1,
+                                                     AttackBudget(0.1), v), "resolution"),
+    "bayes_gap_demo": (lambda v: bayes_gap_demo(v, 10), "r"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", list(_PARAMETERS))
+def test_non_finite_parameter_rejected(name, value):
+    build, reported = _PARAMETERS[name]
+    with pytest.raises(ValueError, match=f"^{reported} must"):
+        build(value)
 
 
 def test_half_moons_geometry():

@@ -197,7 +197,7 @@ def test_sweep_prune_path(monkeypatch):
 ])
 def test_sweep_config_validation(bad):
     with pytest.raises(ValueError):
-        _tiny_cfg(**bad).validate()
+        _tiny_cfg(**bad)
 
 
 # ---------------------------------------------------------------------------

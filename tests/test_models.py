@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astute_np import (GAUSSIAN, INVERSE_POLY, PLATEAU_EXAMPLE3,
-                       Dataset, KernelSpec, RandomStream, ScenarioSpec,
+                       Dataset, RandomStream, ScenarioSpec,
                        default_bandwidth, default_cell_threshold, generate,
                        make_model, predict, predict_batch, train_histogram,
                        train_kernel, train_knn, weights, weights_batch)
+from astute_np.models import log_kernel
 
 import oracles
 
@@ -91,7 +92,7 @@ def test_kernel_symmetric_pair():
 
 def test_kernel_weights_sum_to_one():
     ds = _random_ds(6, n=40)
-    model = train_kernel(ds, KernelSpec(kind=GAUSSIAN))
+    model = train_kernel(ds, kind=GAUSSIAN)
     rng = np.random.default_rng(7)
     for _ in range(50):
         q = rng.uniform(-2, 3, 2)
@@ -101,7 +102,7 @@ def test_kernel_weights_sum_to_one():
 def test_kernel_far_query_does_not_underflow():
     # naive exp ratios hit 0/0 here; the max-division form must survive
     ds = Dataset(np.array([[0.0], [1.0]]), np.array([1, -1]))
-    model = train_kernel(ds, KernelSpec(kind=GAUSSIAN), h=1e-3)
+    model = train_kernel(ds, kind=GAUSSIAN, h=1e-3)
     w = weights(model, [500.0])
     assert np.isfinite(w).all()
     assert w.sum() == pytest.approx(1.0, abs=1e-9)
@@ -110,7 +111,7 @@ def test_kernel_far_query_does_not_underflow():
 
 def test_gaussian_closer_point_gets_more_weight():
     ds = _random_ds(8, n=20)
-    model = train_kernel(ds, KernelSpec(kind=GAUSSIAN))
+    model = train_kernel(ds, kind=GAUSSIAN)
     rng = np.random.default_rng(9)
     for _ in range(20):
         q = rng.uniform(0, 1, 2)
@@ -122,12 +123,12 @@ def test_gaussian_closer_point_gets_more_weight():
 
 def test_kernel_matches_direct_ratio_oracle():
     ds = _random_ds(10, n=15)
-    spec = KernelSpec(kind=GAUSSIAN)
-    model = train_kernel(ds, spec, h=0.5)  # benign scale, no underflow
+    model = train_kernel(ds, kind=GAUSSIAN, h=0.5)  # benign scale, no underflow
     rng = np.random.default_rng(11)
     for _ in range(10):
         q = rng.uniform(0, 1, 2)
-        expect = oracles.kernel_weights_oracle(ds.points, q, spec.log_kernel, 0.5)
+        expect = oracles.kernel_weights_oracle(
+            ds.points, q, lambda u: log_kernel(GAUSSIAN, u), 0.5)
         assert np.allclose(weights(model, q), expect)
 
 
@@ -135,16 +136,15 @@ def test_plateau_kernel_uniform_on_far_masses():
     # point masses at -1 and +1 with a small bandwidth: every scaled
     # distance clears the plateau knee, so all weights collapse to 1/n
     ds = generate(ScenarioSpec("example3", 200), RandomStream(0, 0))
-    model = train_kernel(ds, KernelSpec(kind=PLATEAU_EXAMPLE3))
+    model = train_kernel(ds, kind=PLATEAU_EXAMPLE3)
     w = weights(model, [-0.7])
     assert np.allclose(w, 1.0 / len(ds))
     assert predict(model, [-0.7]) == 1  # 90 percent mass wins
 
 
 def test_inverse_poly_kernel_shape():
-    spec = KernelSpec(kind=INVERSE_POLY)
     u = np.array([0.0, 1.0, 3.0])
-    assert np.allclose(np.exp(spec.log_kernel(u)), [1.0, 0.25, 0.0625])
+    assert np.allclose(np.exp(log_kernel(INVERSE_POLY, u)), [1.0, 0.25, 0.0625])
 
 
 def test_unknown_kernel_kind_rejected_before_training():
@@ -152,7 +152,7 @@ def test_unknown_kernel_kind_rejected_before_training():
     with pytest.raises(ValueError, match="unknown kernel kind 'bogus'"):
         make_model("kernel", ds, kernel="bogus")
     with pytest.raises(ValueError, match="unknown kernel kind"):
-        KernelSpec(kind="bogus")
+        train_kernel(ds, kind="bogus")
 
 
 def test_default_bandwidth_rule():
