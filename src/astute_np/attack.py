@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -27,6 +27,23 @@ FOUND = "found"
 CERTIFIED_ASTUTE = "certified_astute"
 UNKNOWN = "unknown"
 METHODS = ("auto", "histogram", "nn1", "grid")
+
+# Absolute tolerances of the exact 1-NN solver and the grid scan.  They are
+# absolute, not relative, so they resolve bisectors only while coordinates
+# stay moderate; beyond that the solver raises rather than certify.
+#: x already lies in the polygon when every bisector residual is this small.
+_INSIDE_TOL = 1e-12
+#: two bisector lines with a smaller determinant are treated as parallel.
+_PARALLEL_TOL = 1e-14
+#: a candidate point is feasible when every working residual is this small.
+_FEASIBLE_TOL = 1e-9
+#: the cutting-plane loop has converged when the worst gap is this small.
+_CONVERGED_TOL = 1e-10
+#: r / resolution within this of an integer counts as that integer.
+_STEP_TOL = 1e-12
+
+#: a grid scan past this many lattice points raises CostGuardError.
+_GRID_MAX_POINTS = 2_000_000
 
 
 class AttackMethodError(ValueError):
@@ -40,7 +57,8 @@ class CostGuardError(RuntimeError):
 @dataclass(frozen=True)
 class AttackBudget:
     r: float
-    tol: float = 1e-9
+    #: absolute slack on the radius: a radius up to r + tol counts as within r
+    tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         require_positive("r", self.r)
@@ -70,6 +88,7 @@ def histogram_attack(model: HistogramModel, x, y: int, budget: AttackBudget) -> 
     box in ``regions`` order.  The witness is nudged just inside the open
     faces so that it actually misclassifies.  ``x`` must be finite.
     """
+    resolve_attack(model, "histogram")
     x = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(np.isfinite(x)):
         raise ValueError("query must be finite")
@@ -113,9 +132,10 @@ def histogram_attack(model: HistogramModel, x, y: int, budget: AttackBudget) -> 
 
 
 def _small_lp(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact minimizer of linf(x, p) over {A p <= b} (A is small)."""
+    """Exact minimizer of linf(x, p) over {A p <= b} (A is small), or
+    (inf, None) when no candidate passes the absolute feasibility test."""
     viol = A @ x - b
-    if np.all(viol <= 1e-12):
+    if np.all(viol <= _INSIDE_TOL):
         return 0.0, x.copy()
 
     cand_p = []
@@ -129,7 +149,7 @@ def _small_lp(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.nd
     # pairwise intersection vertices
     for i, j in itertools.combinations(range(len(A)), 2):
         det = A[i, 0] * A[j, 1] - A[i, 1] * A[j, 0]
-        if abs(det) < 1e-14:
+        if abs(det) < _PARALLEL_TOL:
             continue
         px = (b[i] * A[j, 1] - b[j] * A[i, 1]) / det
         py = (A[i, 0] * b[j] - A[j, 0] * b[i]) / det
@@ -137,7 +157,7 @@ def _small_lp(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.nd
 
     best_t, best_p = np.inf, None
     for p in cand_p:
-        if np.all(A @ p - b <= 1e-9):
+        if np.all(A @ p - b <= _FEASIBLE_TOL):
             t = float(np.max(np.abs(p - x)))
             if t < best_t:
                 best_t, best_p = t, p
@@ -149,7 +169,9 @@ def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
     """Distance from x to the region where z beats every point in same_pts.
 
     Returns (distance, optimal point); (inf, None) when the working bound
-    proves the distance exceeds ``abort_above``.
+    proves the distance exceeds ``abort_above``.  Raises RuntimeError when
+    no candidate of the working set is feasible to the absolute tolerance:
+    the region always contains z, so float64 could not resolve the bisectors.
     """
     A_full = 2.0 * (same_pts - z)
     b_full = (same_pts * same_pts).sum(axis=1) - float(z @ z)
@@ -158,16 +180,23 @@ def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
     # seed the working set with the strongest cut at x
     margins = np.where(l1_full > 0, (A_full @ x - b_full) / np.where(l1_full > 0, l1_full, 1.0), -np.inf)
     work = [int(np.argmax(margins))]
-    for _ in range(64):
+    # every pass returns or adds a bisector not yet in work, so the loop ends
+    # within len(same_pts) passes
+    while True:
         t, p = _small_lp(x, A_full[work], b_full[work])
-        if p is None or t > abort_above:
+        if p is None:
+            raise RuntimeError(
+                "exact 1-NN attack: float64 cannot resolve the bisectors at this "
+                "coordinate scale; rescale the data to order 1 or use method 'grid'")
+        if t > abort_above:
             return np.inf, None
         gaps = A_full @ p - b_full
         worst = int(np.argmax(np.where(l1_full > 0, gaps / np.where(l1_full > 0, l1_full, 1.0), -np.inf)))
-        if gaps[worst] <= 1e-10 or worst in work:
+        # _small_lp accepted p on every working bisector to _FEASIBLE_TOL, so
+        # a worst bisector already in work is met to that tolerance
+        if gaps[worst] <= _CONVERGED_TOL or worst in work:
             return t, p
         work.append(worst)
-    return t, p  # practically unreachable; working set grows every round
 
 
 def nn1_attack_exact(model: KnnModel, x, y: int, budget: AttackBudget) -> AttackResult:
@@ -175,11 +204,12 @@ def nn1_attack_exact(model: KnnModel, x, y: int, budget: AttackBudget) -> Attack
 
     Branch and bound over opposite-label training points ordered by a cheap
     single-halfspace lower bound; each candidate's polygon distance is
-    solved exactly.  The reported radius is the true minimum whenever it is
-    within budget; otherwise the point is certified astute.
+    solved exactly.  The reported radius is the true minimum, up to the
+    solver's absolute tolerances, whenever it is within budget; otherwise
+    the point is certified astute.  Raises RuntimeError when the coordinates
+    are too large for those tolerances.
     """
-    if model.k != 1 or model.train.dim != 2:
-        raise AttackMethodError("exact 1-NN attack needs k = 1 in 2-D; use grid_attack")
+    resolve_attack(model, "nn1")
     x = np.asarray(x, dtype=float).reshape(-1)
     if predict(model, x) != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
@@ -258,25 +288,24 @@ def _shell_offsets(k: int, d: int) -> np.ndarray:
     return shell
 
 
-def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float,
-                max_points: int = 2_000_000) -> AttackResult:
+def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float) -> AttackResult:
     """Scan the l-inf ball on a regular grid, nearest shells first.
 
     FOUND on the first misprediction in (shell radius, lexicographic) order,
     so witnesses are deterministic.  A clean scan yields UNKNOWN: a grid can
     never certify astuteness.  Scans whose point count would exceed
-    ``max_points`` raise CostGuardError instead of running forever.
+    ``_GRID_MAX_POINTS`` raise CostGuardError instead of running forever.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     d = x.shape[0]
     if not 0 < resolution <= budget.r:
         raise ValueError("resolution must lie in (0, r]")
-    steps = int(np.floor(budget.r / resolution + 1e-12))
+    steps = int(np.floor(budget.r / resolution + _STEP_TOL))
     total = (2 * steps + 1) ** d
-    if total > max_points:
+    if total > _GRID_MAX_POINTS:
         raise CostGuardError(
-            f"grid of {total} points exceeds cap {max_points}; "
-            "coarsen the resolution or lower the cap deliberately")
+            f"grid of {total} points exceeds cap {_GRID_MAX_POINTS}; "
+            "coarsen the resolution")
 
     if predict(model, x) != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)

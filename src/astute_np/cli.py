@@ -125,8 +125,8 @@ _SCHEMAS = {
     ],
     "train-eval": [
         ("scenario", str, "half_moons", False, "scenario when generating data"),
-        ("n", _cast_at_least(0), 1000, False, "training size when generating"),
-        ("n-test", _cast_at_least(0), 1000, False, "test size when generating"),
+        ("n", _cast_at_least(1), 1000, False, "training size when generating"),
+        ("n-test", _cast_at_least(1), 1000, False, "test size when generating"),
         ("sigma", float, 0.0, False, "half-moons noise level"),
         ("scenario-r", float, 0.1, False, "example1 oscillation scale"),
         ("train-csv", str, None, False, "training data path (overrides generation)"),

@@ -15,7 +15,6 @@ import numpy as np
 
 L2 = "l2"
 LINF = "linf"
-_METRICS = (L2, LINF)
 
 #: Isotropic scale applied to both half-moon arcs.  Chosen so the noiseless
 #: arcs keep a minimum inter-class l-inf distance strictly above 0.2 (the
@@ -128,6 +127,11 @@ class ScenarioSpec:
             raise ValueError("sigma must be >= 0 and finite")
         if self.kind == "example1":
             require_positive("r", self.r)
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the points ``generate`` draws for this kind."""
+        return 2 if self.kind == "half_moons" else 1
 
 
 def generate(spec: ScenarioSpec, stream: RandomStream) -> Dataset:

@@ -63,17 +63,26 @@ def empirical_astuteness(model, test: Dataset, budget: AttackBudget,
 # convergence sweep
 
 
-def _check_shared(cfg) -> None:
-    """Rules sweep and probe configs share, the scenario's through ``ScenarioSpec``."""
+def _require_count(name: str, value) -> None:
+    """ValueError unless ``value`` is finite and >= 1."""
+    if require_positive(name, value) < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def _check_shared(cfg) -> ScenarioSpec:
+    """Rules sweep and probe configs share, the scenario's through
+    ``ScenarioSpec``; returns that scenario with n = 0."""
     if cfg.model not in MODELS:
         raise ValueError(f"unknown model {cfg.model!r}")
     if cfg.kernel not in KERNELS:
         raise ValueError(f"unknown kernel {cfg.kernel!r}")
-    ScenarioSpec(cfg.scenario, 0, sigma=cfg.sigma, r=cfg.scenario_r)
+    _require_count("k", cfg.k)
+    scenario = ScenarioSpec(cfg.scenario, 0, sigma=cfg.sigma, r=cfg.scenario_r)
     if not cfg.sizes or not all(n >= 1 for n in cfg.sizes):
         raise ValueError("sizes must be positive")
     if cfg.prune_r is not None:
         require_positive("prune_r", cfg.prune_r)
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,11 @@ class SweepConfig:
         if not (self.repeats >= 1 and self.n_test >= 1):
             raise ValueError("repeats and n_test must be >= 1")
         require_positive("attack_r", self.attack_r)
+        if self.kn is not None:
+            _require_count("kn", self.kn)
+        # resolution <= attack_r is checked by grid_attack, the one method
+        # that reads resolution
+        require_positive("resolution", self.resolution)
 
 
 @dataclass(frozen=True)
@@ -193,7 +207,10 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_shared(self)
+        scenario = _check_shared(self)
+        if self.fixed_x is not None and len(self.fixed_x) != scenario.dim:
+            raise ValueError(f"fixed_x must have {scenario.dim} coordinates for "
+                             f"scenario {self.scenario!r}")
         if not 0 < self.a < self.b:
             raise ValueError("need 0 < a < b")
         if not (self.draws >= 1 and self.boundary_candidates >= 1

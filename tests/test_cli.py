@@ -146,9 +146,13 @@ def test_bad_method_or_metric_exits_2_before_reading_data(monkeypatch, capsys, c
     (["train-eval", "--n", "30", "--n-test", "5", "--k", "0"], "k"),
     (["train-eval", "--n", "30", "--n-test", "5", "--model", "histogram",
       "--kn", "0"], "kn"),
+    (["probe", "--fixed-x", "0.1", "--sizes", "20", "--draws", "2"], "probe"),
+    (["train-eval", "--n", "30", "--n-test", "0"], "n-test"),
+    (["train-eval", "--n", "0"], "n"),
 ], ids=["train-eval", "probe", "train-eval-prune-nan", "train-eval-attack-nan",
         "sweep-attack-nan", "probe-nan", "demo-r-nan", "demo-n-negative",
-        "train-eval-k-0", "train-eval-kn-0"])
+        "train-eval-k-0", "train-eval-kn-0", "probe-fixed-x-dim",
+        "train-eval-n-test-0", "train-eval-n-0"])
 def test_nonpositive_prune_radius_exits_2_before_drawing_data(monkeypatch, capsys,
                                                               command, key):
     def no_data(*args, **kwargs):

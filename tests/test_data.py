@@ -130,6 +130,9 @@ _PARAMETERS = {
     "AttackBudget": (AttackBudget, "r"),
     "build_conflict_graph": (lambda v: build_conflict_graph(_LINE, v), "r"),
     "SweepConfig.attack_r": (lambda v: SweepConfig(attack_r=v), "attack_r"),
+    "SweepConfig.k": (lambda v: SweepConfig(k=v), "k"),
+    "SweepConfig.kn": (lambda v: SweepConfig(kn=v), "kn"),
+    "SweepConfig.resolution": (lambda v: SweepConfig(resolution=v), "resolution"),
     "ProbeConfig.prune_r": (lambda v: ProbeConfig(prune_r=v), "prune_r"),
     "ScenarioSpec.sigma": (lambda v: ScenarioSpec("half_moons", 5, sigma=v), "sigma"),
     "ScenarioSpec.r": (lambda v: ScenarioSpec("example1", 5, r=v), "r"),

@@ -194,6 +194,8 @@ def test_sweep_prune_path(monkeypatch):
     dict(prune_r=-1.0),
     dict(model="forest"),
     dict(kernel="bogus"),
+    dict(k=0),
+    dict(model="histogram", kn=0),
 ])
 def test_sweep_config_validation(bad):
     with pytest.raises(ValueError):
@@ -258,6 +260,10 @@ def test_probe_validation():
     for prune_r in (0.0, -1.0):
         with pytest.raises(ValueError, match="prune_r"):
             probe_far_weight(ProbeConfig(prune_r=prune_r))
+    for scenario, fixed_x in [("half_moons", (0.1,)), ("half_moons", (0.1, 0.2, 0.3)),
+                              ("example2", (0.1, 0.2))]:
+        with pytest.raises(ValueError, match="fixed_x"):
+            ProbeConfig(scenario=scenario, fixed_x=fixed_x)
 
 
 def test_pruned_probe_rejects_fixed_query():
