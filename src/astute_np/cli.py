@@ -12,15 +12,15 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 
-from .data import (L2, LINF, Dataset, RandomStream, ScenarioSpec, generate,
+from .data import (Dataset, RandomStream, ScenarioSpec, generate,
                    read_csv, require_positive, write_csv)
 from .models import GAUSSIAN, KERNELS, MODELS, make_model
 from .attack import FOUND, METHODS, AttackBudget, AttackMethodError, attack_all
-from .evaluation import (DEFAULT_SIZES, ProbeConfig, SweepConfig,
-                         bayes_gap_demo, convergence_sweep,
+from .evaluation import (ProbeConfig, SweepConfig, bayes_gap_demo, convergence_sweep,
                          empirical_astuteness, probe_far_weight)
 from .chart import sweep_chart
 from .prune import adv_prune
@@ -29,7 +29,6 @@ from .prune import adv_prune
 class ConfigError(Exception):
     def __init__(self, key: str, reason: str):
         super().__init__(f"config error: key '{key}': {reason}")
-        self.key = key
 
 
 @contextmanager
@@ -114,6 +113,22 @@ _MODEL_KEYS = [
 _METHOD_KEY = ("method", _cast_choice(METHODS), "auto", False,
                f"attack method: {' | '.join(METHODS)}")
 
+#: probe keys named differently from their ``ProbeConfig`` field
+_PROBE_KEYS = {"boundary_candidates": "boundary", "interior_candidates": "interior"}
+
+#: default of a row whose config class owns it (see ``_config_keys``)
+_FIELD = None
+
+
+def _config_keys(cls, rows: list, **keys) -> list:
+    """Schema rows of a subcommand backed by config class ``cls``: a row whose
+    key names a field (``keys`` maps a field to a differently named key)
+    takes the field's default, so each default is written once."""
+    field = {keys.get(f.name, f.name).replace("_", "-"): f.name for f in fields(cls)}
+    return [(key, cast, getattr(cls, field[key]) if key in field else default, req, text)
+            for key, cast, default, req, text in rows]
+
+
 _SCHEMAS = {
     "gen": [
         ("scenario", str, None, True, "half_moons | example1 | example2 | example3"),
@@ -142,7 +157,6 @@ _SCHEMAS = {
     "prune": [
         ("data", str, None, True, "input CSV path"),
         ("r", _cast_positive, None, True, "separation radius"),
-        ("metric", _cast_choice((L2, LINF)), LINF, False, f"{L2} | {LINF}"),
         ("out", str, None, False, "write the kept subset to this CSV path"),
     ],
     "attack": [
@@ -154,41 +168,41 @@ _SCHEMAS = {
         ("resolution", _cast_positive, 1e-3, False, "grid attack resolution"),
         ("out", str, None, True, "report CSV path"),
     ],
-    "sweep": [
-        ("scenario", str, "half_moons", False, "scenario"),
-        ("sigma", float, 0.0, False, "noise level"),
+    "sweep": _config_keys(SweepConfig, [
+        ("scenario", str, _FIELD, False, "scenario"),
+        ("sigma", float, _FIELD, False, "noise level"),
         *_FAMILY_KEYS,
         _KN_KEY,
-        ("sizes", _cast_int_list, DEFAULT_SIZES, False, "comma-separated training sizes"),
-        ("repeats", _cast_at_least(1), 5, False, "repeats per size"),
-        ("n-test", _cast_at_least(1), 1000, False, "test size"),
-        ("attack-r", _cast_positive, 0.1, False, "robustness radius"),
-        ("prune-r", _cast_opt(_cast_positive), None, False, "prune radius (omit to disable)"),
-        ("scenario-r", float, 0.1, False, "example1 oscillation scale"),
-        ("resolution", _cast_positive, 1e-3, False, "grid attack resolution"),
-        ("seed", int, 0, False, "random seed"),
+        ("sizes", _cast_int_list, _FIELD, False, "comma-separated training sizes"),
+        ("repeats", _cast_at_least(1), _FIELD, False, "repeats per size"),
+        ("n-test", _cast_at_least(1), _FIELD, False, "test size"),
+        ("attack-r", _cast_positive, _FIELD, False, "robustness radius"),
+        ("prune-r", _cast_opt(_cast_positive), _FIELD, False, "prune radius (omit to disable)"),
+        ("scenario-r", float, _FIELD, False, "example1 oscillation scale"),
+        ("resolution", _cast_positive, _FIELD, False, "grid attack resolution"),
+        ("seed", int, _FIELD, False, "random seed"),
         ("out-csv", str, None, True, "results CSV path"),
         ("out-svg", str, None, False, "chart SVG path"),
         ("title", str, "", False, "chart title"),
-    ],
-    "probe": [
-        ("scenario", str, "half_moons", False, "scenario"),
-        ("sigma", float, 0.0, False, "noise level"),
+    ]),
+    "probe": _config_keys(ProbeConfig, [
+        ("scenario", str, _FIELD, False, "scenario"),
+        ("sigma", float, _FIELD, False, "noise level"),
         *_FAMILY_KEYS,
-        ("a", _cast_positive, 0.05, False, "inner (perturbation) radius"),
-        ("b", _cast_positive, 0.1, False, "outer (far-point) radius"),
-        ("sizes", _cast_int_list, (100, 1000), False, "training sizes to probe"),
-        ("draws", _cast_at_least(1), 400, False, "Monte-Carlo draws per size"),
-        ("boundary", _cast_at_least(1), 64, False, "ball boundary candidates"),
-        ("interior", _cast_at_least(0), 16, False, "ball interior candidates"),
-        ("prune-r", _cast_opt(_cast_positive), None, False,
+        ("a", _cast_positive, _FIELD, False, "inner (perturbation) radius"),
+        ("b", _cast_positive, _FIELD, False, "outer (far-point) radius"),
+        ("sizes", _cast_int_list, _FIELD, False, "training sizes to probe"),
+        ("draws", _cast_at_least(1), _FIELD, False, "Monte-Carlo draws per size"),
+        ("boundary", _cast_at_least(1), _FIELD, False, "ball boundary candidates"),
+        ("interior", _cast_at_least(0), _FIELD, False, "ball interior candidates"),
+        ("prune-r", _cast_opt(_cast_positive), _FIELD, False,
          "probe the pruned-training condition at this radius (omit for the unpruned probe)"),
-        ("fixed-x", _cast_opt(_cast_float_list), None, False,
+        ("fixed-x", _cast_opt(_cast_float_list), _FIELD, False,
          "fixed query point (comma coords); not with prune-r"),
-        ("scenario-r", float, 0.1, False, "example1 oscillation scale"),
-        ("seed", int, 0, False, "random seed"),
+        ("scenario-r", float, _FIELD, False, "example1 oscillation scale"),
+        ("seed", int, _FIELD, False, "random seed"),
         ("out", str, None, False, "results CSV path"),
-    ],
+    ], **_PROBE_KEYS),
     "demo-example1": [
         ("r", _cast_positive, 0.1, False, "robustness radius / oscillation scale"),
         ("n", _cast_at_least(1), 2000, False, "test draw size"),
@@ -269,6 +283,13 @@ def _make_model(params: dict, ds: Dataset):
                       kernel=params["kernel"], root=root)
 
 
+def _config(cls, params: dict, key: str, **keys):
+    """Config ``cls`` built under ``_cfg_guard(key)`` from the params named
+    like its fields; ``keys`` maps a field to a differently named param."""
+    with _cfg_guard(key):
+        return cls(**{f.name: params[keys.get(f.name, f.name)] for f in fields(cls)})
+
+
 def _load_or_generate(params: dict, csv_key: str, n: int, stream: RandomStream) -> Dataset:
     path = params.get(csv_key)
     if path is not None:
@@ -301,7 +322,7 @@ def _cmd_train_eval(params: dict) -> int:
                                 RandomStream(params["seed"], 1))
     lines = [f"n_train = {len(train_ds)}"]
     if params["prune_r"] is not None:
-        pruned = adv_prune(train_ds, params["prune_r"], metric=LINF)
+        pruned = adv_prune(train_ds, params["prune_r"])
         train_ds = train_ds.subset(pruned.kept)
         lines.append(f"kept = {len(train_ds)} ({pruned.kept_fraction:.4f})")
     model = _make_model(params, train_ds)
@@ -326,7 +347,7 @@ def _cmd_train_eval(params: dict) -> int:
 
 def _cmd_prune(params: dict) -> int:
     ds = read_csv(params["data"])
-    result = adv_prune(ds, params["r"], metric=params["metric"])
+    result = adv_prune(ds, params["r"])
     print(f"kept {len(result.kept)} of {result.n} "
           f"(fraction {result.kept_fraction:.4f}, matching {result.matching_size})")
     if params["out"] is not None:
@@ -369,15 +390,7 @@ def _cmd_attack(params: dict) -> int:
 
 
 def _cmd_sweep(params: dict) -> int:
-    with _cfg_guard("sweep"):
-        cfg = SweepConfig(scenario=params["scenario"], sigma=params["sigma"],
-                          model=params["model"], k=params["k"], kn=params["kn"],
-                          kernel=params["kernel"], sizes=tuple(params["sizes"]),
-                          repeats=params["repeats"], n_test=params["n_test"],
-                          attack_r=params["attack_r"], prune_r=params["prune_r"],
-                          scenario_r=params["scenario_r"],
-                          resolution=params["resolution"], seed=params["seed"])
-    result = convergence_sweep(cfg)
+    result = convergence_sweep(_config(SweepConfig, params, "sweep"))
     result.to_csv(params["out_csv"])
     print(f"wrote {params['out_csv']}")
     if params["out_svg"] is not None:
@@ -392,16 +405,7 @@ def _cmd_sweep(params: dict) -> int:
 
 
 def _cmd_probe(params: dict) -> int:
-    with _cfg_guard("probe"):
-        cfg = ProbeConfig(scenario=params["scenario"], sigma=params["sigma"],
-                          model=params["model"], k=params["k"], kernel=params["kernel"],
-                          a=params["a"], b=params["b"], sizes=tuple(params["sizes"]),
-                          draws=params["draws"], boundary_candidates=params["boundary"],
-                          interior_candidates=params["interior"],
-                          prune_r=params["prune_r"],
-                          fixed_x=params["fixed_x"], scenario_r=params["scenario_r"],
-                          seed=params["seed"])
-    result = probe_far_weight(cfg)
+    result = probe_far_weight(_config(ProbeConfig, params, "probe", **_PROBE_KEYS))
     lines = ["n,estimate,std_error"]
     for i, n in enumerate(result.sizes):
         print(f"n={n}: estimate {result.estimates[i]:.6f} "

@@ -142,7 +142,7 @@ def _sweep_cell(cfg: SweepConfig, n: int, cell: int) -> tuple:
     test_ds = generate(ScenarioSpec(cfg.scenario, cfg.n_test, sigma=cfg.sigma, r=cfg.scenario_r),
                        root.child(2 * cell + 1))
     if cfg.prune_r is not None:
-        pruned = adv_prune(train_ds, cfg.prune_r, metric=LINF)
+        pruned = adv_prune(train_ds, cfg.prune_r)
         train_ds = train_ds.subset(pruned.kept)
     model = make_model(cfg.model, train_ds, k=cfg.k, kn=cfg.kn, kernel=cfg.kernel)
     report = empirical_astuteness(model, test_ds, AttackBudget(cfg.attack_r),
@@ -155,7 +155,7 @@ def _worker_count(n_jobs: int) -> int:
     try:
         cap = int(raw)
     except ValueError:
-        cap = 0
+        raise ValueError(f"ASTUTE_NP_THREADS must be an integer, got {raw!r}") from None
     if cap <= 0:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_jobs))
@@ -275,7 +275,7 @@ def probe_far_weight(cfg: ProbeConfig) -> ProbeResult:
             ds = generate(ScenarioSpec(cfg.scenario, n, sigma=cfg.sigma, r=cfg.scenario_r),
                           root.child(stream))
             if cfg.prune_r is not None:
-                ds = ds.subset(adv_prune(ds, cfg.prune_r, metric=LINF).kept)
+                ds = ds.subset(adv_prune(ds, cfg.prune_r).kept)
                 queries = ds.points
             elif cfg.fixed_x is not None:
                 queries = [np.asarray(cfg.fixed_x, dtype=float)]

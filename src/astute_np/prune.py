@@ -1,10 +1,11 @@
 """Exact adversarial pruning: the largest r-separated subset of a sample.
 
-Opposite-label points closer than or exactly at distance 2r conflict; the
-conflict graph is bipartite (conflicts only join opposite labels), so the
-largest conflict-free subset is a maximum independent set computable exactly
-as n minus a maximum matching, with the set itself recovered by the
-alternating-reachability construction of Koenig's theorem.
+Opposite-label points closer than or exactly at l-inf distance 2r (the
+metric of the perturbations) conflict; the conflict graph is bipartite
+(conflicts only join opposite labels), so the largest conflict-free subset
+is a maximum independent set computable exactly as n minus a maximum
+matching, with the set itself recovered by the alternating-reachability
+construction of Koenig's theorem.
 """
 
 from __future__ import annotations
@@ -15,14 +16,10 @@ from itertools import chain
 
 import numpy as np
 
-from .data import Dataset, L2, LINF, pairwise_distances, require_positive
+from .data import Dataset, require_positive
 
 #: +1 points per sweep block in ``build_conflict_graph``.
 _BLOCK = 256
-
-#: Smallest half-width of an L2 sweep window: a coordinate difference below
-#: it can square to an underflow, and then to a distance <= 2r.
-_L2_MIN_REACH = 2.0 ** -511
 
 
 @dataclass
@@ -65,18 +62,17 @@ class PrunedSet:
         return len(self.kept) / self.n if self.n else 1.0
 
 
-def build_conflict_graph(ds: Dataset, r: float, metric: str = LINF) -> ConflictGraph:
-    """Edges join opposite-label pairs at distance <= 2r (closed condition,
-    no epsilon: equality is a conflict).
+def build_conflict_graph(ds: Dataset, r: float) -> ConflictGraph:
+    """Edges join opposite-label pairs at l-inf distance <= 2r (closed
+    condition, no epsilon: equality is a conflict).
 
     The +1 points are swept in blocks of ``_BLOCK`` by their first
     coordinate, and each block is tested only against the -1 points whose
     first coordinate lies within 2r of the block's range.  The edges are
-    exactly those of the dense rule ``pairwise_distances(metric, lp, rp) <= 2r``.
+    exactly those of the dense rule ``pairwise_distances(LINF, lp, rp) <= 2r``.
     """
     require_positive("r", r)
     two_r = 2.0 * r
-    reach = max(two_r, _L2_MIN_REACH) if metric == L2 else two_r
     left = np.flatnonzero(ds.labels == 1)
     right = np.flatnonzero(ds.labels == -1)
     adj: list = [[] for _ in range(len(left))]
@@ -88,22 +84,15 @@ def build_conflict_graph(ds: Dataset, r: float, metric: str = LINF) -> ConflictG
         for start in range(0, len(left), _BLOCK):
             blk = order[start:start + _BLOCK]
             x0 = lp[blk, 0]
-            # The window holds every conflict of the block.  For l-inf a
-            # conflict needs fl(|l0 - r0|) <= 2r; the window tests the same
-            # float subtraction from the block's extreme first coordinate, and
+            # The window holds every conflict of the block: a conflict needs
+            # fl(|l0 - r0|) <= 2r; the window tests the same float
+            # subtraction from the block's extreme first coordinate, and
             # rounding is monotone, so the bound carries over with no pad.
-            # For L2 the computed distance is never below the computed
-            # x = l0 - r0: a sum of squares rounds to at least each square,
-            # and sqrt(fl(x * x)) == |x| unless x * x underflows, which needs
-            # |x| < 2**-511, hence the floor on the reach.
-            win = np.flatnonzero((x0.min() - r0 <= reach) & (r0 - x0.max() <= reach))
+            win = np.flatnonzero((x0.min() - r0 <= two_r) & (r0 - x0.max() <= two_r))
             pts, cols = lp[blk], rp[win]
-            if metric == LINF:
-                close = np.abs(pts[:, :1] - cols[:, 0]) <= two_r
-                for j in range(1, ds.dim):
-                    close &= np.abs(pts[:, j:j + 1] - cols[:, j]) <= two_r
-            else:
-                close = pairwise_distances(metric, pts, cols) <= two_r
+            close = np.abs(pts[:, :1] - cols[:, 0]) <= two_r
+            for j in range(1, ds.dim):
+                close &= np.abs(pts[:, j:j + 1] - cols[:, j]) <= two_r
             # np.nonzero walks rows in order and win is ascending, so each
             # row's slice of flat is its ascending adjacency list
             flat = win[np.nonzero(close)[1]].tolist()
@@ -200,8 +189,8 @@ def _hopcroft_karp(g: ConflictGraph) -> tuple[list, list, np.ndarray, np.ndarray
                 dfs(u)
 
 
-def adv_prune(ds: Dataset, r: float, metric: str = LINF) -> PrunedSet:
-    """Largest r-separated subset, exactly.
+def adv_prune(ds: Dataset, r: float) -> PrunedSet:
+    """Largest r-separated subset in l-inf, exactly.
 
     Koenig construction: run alternating BFS from the unmatched left
     positions (non-matching edges leftward, matching edges rightward); the
@@ -210,7 +199,7 @@ def adv_prune(ds: Dataset, r: float, metric: str = LINF) -> PrunedSet:
     as appropriate, so they are always kept.  The matching's last, failed
     phase search is that BFS, so its layers are reused.
     """
-    g = build_conflict_graph(ds, r, metric)
+    g = build_conflict_graph(ds, r)
     pair_l, _, dist, seen_r = _hopcroft_karp(g)
     matched = sum(1 for v in pair_l if v != -1)
     kept = np.concatenate([g.left[dist < np.inf], g.right[~seen_r]]).astype(int)

@@ -2,6 +2,8 @@
 
 import csv
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 
 import astute_np
 from astute_np import ProbeConfig, probe_far_weight, read_csv
-from astute_np.cli import main
+from astute_np.cli import _SCHEMAS, _build_parser, _merge_params, main
 from astute_np.evaluation import SWEEP_CSV_HEADER
 
 
@@ -121,8 +123,7 @@ def test_train_eval_bad_kernel_exits_2_before_drawing_data(monkeypatch, capsys):
     (["train-eval", "--n", "20", "--n-test", "5"], "method"),
     (["attack", "--train-csv", "t.csv", "--test-csv", "t.csv", "--r", "0.1",
       "--out", "o.csv"], "method"),
-    (["prune", "--data", "t.csv", "--r", "0.1"], "metric"),
-], ids=["train-eval", "attack", "prune"])
+], ids=["train-eval", "attack"])
 def test_bad_method_or_metric_exits_2_before_reading_data(monkeypatch, capsys, command, key):
     def no_data(*args, **kwargs):
         raise AssertionError(f"data read or drawn before {key} was checked")
@@ -213,6 +214,15 @@ def test_prune_rejects_nonpositive_radius(tmp_path, capsys):
     rc = main(["prune", "--data", str(data), "--r", "0"])
     assert rc == 2
     assert "key 'r'" in capsys.readouterr().err
+
+
+def test_prune_metric_is_unknown_key(tmp_path, monkeypatch, capsys):
+    # pruning is always l-inf, the metric of the attacks
+    def no_data(*args, **kwargs):
+        raise AssertionError("data read before the unknown key was rejected")
+    monkeypatch.setattr("astute_np.cli.read_csv", no_data)
+    _assert_unknown_key(tmp_path, capsys, ["prune", "--data", "t.csv", "--r", "0.1"],
+                        "metric", "linf")
 
 
 def test_missing_file_exits_1(tmp_path, capsys):
@@ -311,6 +321,15 @@ def test_sweep_outputs_deterministic(tmp_path, monkeypatch, capsys):
     assert lines[0] == SWEEP_CSV_HEADER and len(lines) == 3
     ET.parse(svg_a)
     assert "n=10" in capsys.readouterr().out
+
+
+def test_sweep_bad_thread_count_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("ASTUTE_NP_THREADS", "abc")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--sizes", "10", "--repeats", "1", "--n-test", "10",
+                 "--out-csv", str(out)]) == 1
+    assert "ASTUTE_NP_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_bad_sizes_exits_2(tmp_path, capsys):
@@ -443,3 +462,28 @@ def test_installed_console_script_runs(tmp_path):
                            "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert len(read_csv(str(out))) == 6
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+def _readme_commands():
+    """Each ``astute-np ...`` command of README.md's ``sh`` blocks, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("astute-np ")]
+
+
+def test_readme_commands_parse():
+    # parse_args and _merge_params read no files, so a flag the docs use
+    # but the CLI dropped or renamed fails here
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(_SCHEMAS)
+    parser = _build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+        _merge_params(args.command, args.config, flags)

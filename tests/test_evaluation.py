@@ -167,6 +167,13 @@ def test_sweep_deterministic_and_csv_stable(monkeypatch, tmp_path):
     assert lines[1].startswith("12,") and lines[2].startswith("24,")
 
 
+def test_sweep_rejects_non_integer_thread_count(monkeypatch):
+    # unset or <= 0 means every CPU; a value that is not an integer is an error
+    monkeypatch.setenv("ASTUTE_NP_THREADS", "abc")
+    with pytest.raises(ValueError, match="ASTUTE_NP_THREADS must be an integer, got 'abc'"):
+        convergence_sweep(_tiny_cfg())
+
+
 def test_sweep_parallel_matches_serial(monkeypatch):
     monkeypatch.setenv("ASTUTE_NP_THREADS", "1")
     serial = convergence_sweep(_tiny_cfg())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from astute_np import (L2, LINF, ConflictGraph, Dataset, adv_prune,
+from astute_np import (LINF, ConflictGraph, Dataset, adv_prune,
                        build_conflict_graph, max_matching, pairwise_distances,
                        train_knn)
 
@@ -49,21 +49,22 @@ def test_conflict_at_exactly_two_r():
 
 
 def _dense_adj(ds, r, metric):
-    """Adjacency lists of the all-pairs rule the sweep must reproduce."""
+    """Adjacency lists of the all-pairs rule the sweep must reproduce.  The
+    sweep tests pass the conflict metric, l-inf, as a one-value parameter,
+    so each case keeps its ``linf`` id."""
     close = pairwise_distances(metric, ds.points[ds.labels == 1],
                                ds.points[ds.labels == -1]) <= 2.0 * r
     return [np.flatnonzero(row).tolist() for row in close]
 
 
 def _assert_sweep_exact(ds, r, metric, oracle=True):
-    g = build_conflict_graph(ds, r, metric)
+    g = build_conflict_graph(ds, r)
     if (ds.labels == 1).any() and (ds.labels == -1).any():
         assert g.adj == _dense_adj(ds, r, metric)
     else:
         assert g.adj == [[]] * len(g.left)
     if oracle:
-        dist = oracles.l2 if metric == L2 else oracles.linf
-        adj = oracles.conflict_adjacency(ds.points, ds.labels, r, dist)
+        adj = oracles.conflict_adjacency(ds.points, ds.labels, r, oracles.linf)
         left, right = g.left.tolist(), g.right.tolist()
         expected = {(u, v) for u in left for v in right if adj[u] >> v & 1}
         assert {(left[i], right[j]) for i, row in enumerate(g.adj) for j in row} == expected
@@ -80,7 +81,7 @@ def _lattice_chain(n, d, r, offset, seed):
     return Dataset(pts, np.where(k % 4 < 2, 1, -1))
 
 
-@pytest.mark.parametrize("metric", [LINF, L2])
+@pytest.mark.parametrize("metric", [LINF])
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
 @pytest.mark.parametrize("r", [0.125, 0.1])
 def test_sweep_exact_across_blocks_and_offsets(metric, offset, r):
@@ -94,10 +95,10 @@ def test_sweep_exact_across_blocks_and_offsets(metric, offset, r):
     if r == 0.125:
         u, v = np.searchsorted(g.left, 509), np.searchsorted(g.right, 511)
         assert ds.points[g.right[v], 0] - ds.points[g.left[u], 0] == 2 * r
-        assert (v in g.adj[u]) == (metric == LINF or ds.points[509, 1] == ds.points[511, 1])
+        assert v in g.adj[u]
 
 
-@pytest.mark.parametrize("metric", [LINF, L2])
+@pytest.mark.parametrize("metric", [LINF])
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sweep_matches_oracle(metric, offset, d):
@@ -107,7 +108,7 @@ def test_sweep_matches_oracle(metric, offset, d):
     _assert_sweep_exact(_lattice_chain(60, d, 0.125, offset, seed=d), 0.125, metric)
 
 
-@pytest.mark.parametrize("metric", [LINF, L2])
+@pytest.mark.parametrize("metric", [LINF])
 def test_sweep_tied_first_coordinates(metric):
     # three distinct first coordinates: every block shares them, and
     # the windows overlap completely
@@ -118,23 +119,13 @@ def test_sweep_tied_first_coordinates(metric):
     _assert_sweep_exact(ds.subset(np.arange(90)), 0.05, metric)
 
 
-@pytest.mark.parametrize("metric", [LINF, L2])
+@pytest.mark.parametrize("metric", [LINF])
 @pytest.mark.parametrize("label", [1, -1])
 def test_sweep_one_class(metric, label):
     rng = np.random.default_rng(3)
     ds = Dataset(rng.uniform(0, 1, (300, 2)), np.full(300, label))
     g = _assert_sweep_exact(ds, 0.2, metric)
     assert g.edge_count == 0
-
-
-def test_sweep_l2_tiny_radius():
-    # the first coordinates differ by 1e-163, whose square underflows to 0,
-    # so the computed L2 distance is 0 <= 2r although |l0 - r0| > 2r; the
-    # sweep must keep the edge the dense rule finds
-    ds = Dataset(np.array([[0.0, 0.0], [1e-163, 0.0]]), np.array([1, -1]))
-    g = _assert_sweep_exact(ds, 5e-171, L2, oracle=False)
-    assert g.edge_count == 1
-    assert build_conflict_graph(ds, 5e-171, LINF).edge_count == 0
 
 
 def test_conflict_requires_positive_radius():
@@ -291,12 +282,11 @@ def test_prune_idempotent():
     assert len(second.kept) == len(survivors)
 
 
-def test_prune_l2_metric():
-    # conflict under LINF at r=0.05 (both coords differ by 0.1) but not
-    # under L2 (distance ~0.141 > 2r)
+def test_prune_linf_diagonal_conflict():
+    # both coordinates differ by 0.1 = 2r, so the pair conflicts in l-inf
+    # although its L2 distance (~0.141) is above 2r
     ds = Dataset(np.array([[0.0, 0.0], [0.1, 0.1]]), np.array([1, -1]))
-    assert len(adv_prune(ds, 0.05, metric=LINF).kept) == 1
-    assert len(adv_prune(ds, 0.05, metric=L2).kept) == 2
+    assert len(adv_prune(ds, 0.05).kept) == 1
 
 
 def test_kept_indices_sorted_and_unique():
