@@ -21,7 +21,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .data import Dataset, require_positive
-from .models import HistogramModel, KnnModel, predict, predict_batch
+from .models import HistogramModel, KnnModel, as_queries, predict, predict_batch
 
 FOUND = "found"
 CERTIFIED_ASTUTE = "certified_astute"
@@ -75,6 +75,15 @@ class AttackResult:
         return self.outcome == FOUND
 
 
+def _finite_query(model, x) -> np.ndarray:
+    """x as one finite query row in the model's dimension; ValueError
+    otherwise, before any attack can read a NaN as a verdict."""
+    x = as_queries(model, np.ravel(x))[0]
+    if not np.isfinite(x).all():
+        raise ValueError("query must be finite")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # histogram attack
 
@@ -89,9 +98,7 @@ def histogram_attack(model: HistogramModel, x, y: int, budget: AttackBudget) -> 
     faces so that it actually misclassifies.  ``x`` must be finite.
     """
     resolve_attack(model, "histogram")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("query must be finite")
+    x = _finite_query(model, x)
     lo, hi = model.regions[-y]
     if len(lo) == 0:
         return AttackResult(CERTIFIED_ASTUTE)
@@ -207,11 +214,18 @@ def nn1_attack_exact(model: KnnModel, x, y: int, budget: AttackBudget) -> Attack
     solved exactly.  The reported radius is the true minimum, up to the
     solver's absolute tolerances, whenever it is within budget; otherwise
     the point is certified astute.  Raises RuntimeError when the coordinates
-    are too large for those tolerances.
+    are too large for those tolerances.  ``x`` must be finite.
     """
     resolve_attack(model, "nn1")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if predict(model, x) != y:
+    x = _finite_query(model, x)
+    return _nn1_attack(model, x, y, predict(model, x), budget)
+
+
+def _nn1_attack(model: KnnModel, x: np.ndarray, y: int, prediction: int,
+                budget: AttackBudget) -> AttackResult:
+    """``nn1_attack_exact`` for a finite x that the model predicts as
+    ``prediction``."""
+    if prediction != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
 
     pts = model.train.points
@@ -224,7 +238,9 @@ def nn1_attack_exact(model: KnnModel, x, y: int, budget: AttackBudget) -> Attack
 
     # lower bound per z: distance to the single bisector against the
     # same-label point nearest to x (a superset of the true polygon)
-    d_same = np.max(np.abs(same_pts - x), axis=1)
+    d_same = np.abs(same_pts[:, 0] - x[0])
+    for j in range(1, len(x)):
+        d_same = np.maximum(d_same, np.abs(same_pts[:, j] - x[j]))
     s0 = same_pts[int(np.argmin(d_same))]
     zs = pts[opp]
     A0 = 2.0 * (s0 - zs)
@@ -232,19 +248,21 @@ def nn1_attack_exact(model: KnnModel, x, y: int, budget: AttackBudget) -> Attack
     l1 = np.abs(A0).sum(axis=1)
     lb = np.where(l1 > 0, np.maximum(0.0, (A0 @ x - b0) / np.where(l1 > 0, l1, 1.0)), 0.0)
 
-    order = np.argsort(lb, kind="stable")
+    bound = budget.r + budget.tol
+    # the loop breaks at the first lb >= bound, so only the sites below it
+    # are sorted; their stable order is the full order's prefix
+    near = np.flatnonzero(lb < bound)
     best = np.inf
     best_p = None
     best_z = None
-    bound = budget.r + budget.tol
-    for zi in order:
+    for zi in near[np.argsort(lb[near], kind="stable")]:
         if lb[zi] >= min(best, bound):
             break
         d, p = _polygon_linf_distance(x, zs[zi], same_pts, min(best, bound))
         if d < best:
             best, best_p, best_z = d, p, zs[zi]
 
-    if best <= budget.r + budget.tol:
+    if best <= bound:
         # nudge toward the site whose region was solved: its polygon is
         # convex and contains the site strictly inside every bisector, so any
         # step along that segment flips the prediction; the reported radius
@@ -296,7 +314,7 @@ def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float) -> At
     never certify astuteness.  Scans whose point count would exceed
     ``_GRID_MAX_POINTS`` raise CostGuardError instead of running forever.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _finite_query(model, x)
     d = x.shape[0]
     if not 0 < resolution <= budget.r:
         raise ValueError("resolution must lie in (0, r]")
@@ -386,16 +404,23 @@ def attack_all(model, test: Dataset, budget: AttackBudget, method: str = "auto",
     collapses to a handful of distinct points.
     """
     resolved, approximate = resolve_attack(model, method)
+    prediction = predict_batch(model, test.points)
+
+    def attack(i: int) -> AttackResult:
+        x, y = test.points[i], int(test.labels[i])
+        if resolved == "nn1":
+            # a k-NN vote is an integer sum, so the batch prediction is the
+            # one predict(x) would make
+            return _nn1_attack(model, x, y, int(prediction[i]), budget)
+        return run_attack(model, x, y, budget, method=resolved, resolution=resolution)
 
     keyed = np.concatenate([test.points, test.labels[:, None].astype(float)], axis=1)
-    uniq, inverse = np.unique(keyed, axis=0, return_inverse=True)
+    _, first, inverse = np.unique(keyed, axis=0, return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)       # numpy 2.0.0 returns it as (n, 1)
-    results = [run_attack(model, row[:-1], int(row[-1]), budget, method=resolved,
-                          resolution=resolution) for row in uniq]
+    results = [attack(i) for i in first]
     nowhere = np.full(test.dim, np.nan)
     return AttackTable(
-        method=resolved, approximate=approximate,
-        prediction=predict_batch(model, test.points),
+        method=resolved, approximate=approximate, prediction=prediction,
         outcome=np.array([res.outcome for res in results], dtype=object)[inverse],
         radius=np.array([res.radius if res.found else np.nan for res in results])[inverse],
         witness=np.array([res.witness if res.found else nowhere

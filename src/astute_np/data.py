@@ -33,16 +33,42 @@ def require_positive(name: str, value):
     return value
 
 
+#: elements per block of a row-blocked computation; caps each block's
+#: temporaries near 8 MB of float64 whatever the row count
+BLOCK_CELLS = 1 << 20
+
+
+def row_blocks(rows: int, cells_per_row: int) -> list:
+    """Slices that cover ``range(rows)`` in order, each of at most
+    ``BLOCK_CELLS // cells_per_row`` rows and at least one."""
+    step = max(1, BLOCK_CELLS // max(1, cells_per_row))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def pairwise_distances(metric: str, rows, cols) -> np.ndarray:
-    """All distances between two point sets, shape ``(len(rows), len(cols))``."""
+    """All distances between two point sets, shape ``(len(rows), len(cols))``.
+
+    Computed in row blocks, so the ``(rows, cols, d)`` difference tensor
+    never exceeds ``BLOCK_CELLS`` entries; each entry is the same whatever
+    the block.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     cols = np.atleast_2d(np.asarray(cols, dtype=float))
-    diff = rows[:, None, :] - cols[None, :, :]
-    if metric == L2:
-        return np.sqrt(np.sum(diff * diff, axis=2))
-    if metric == LINF:
-        return np.max(np.abs(diff), axis=2)
-    raise ValueError(f"unknown metric {metric!r}")
+    if metric not in (L2, LINF):
+        raise ValueError(f"unknown metric {metric!r}")
+    if rows.shape[1] != cols.shape[1]:
+        raise ValueError("dimension mismatch")
+    out = np.empty((len(rows), len(cols)))
+    for block in row_blocks(len(rows), cols.size):
+        diff = rows[block, None, :] - cols[None, :, :]
+        if metric == L2:
+            diff *= diff
+            np.sum(diff, axis=2, out=out[block])
+            np.sqrt(out[block], out=out[block])
+        else:
+            np.abs(diff, out=diff)
+            np.max(diff, axis=2, out=out[block])
+    return out
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, L2, pairwise_distances, require_positive
+from .data import Dataset, L2, pairwise_distances, require_positive, row_blocks
 
 GAUSSIAN = "gaussian"
 PLATEAU_EXAMPLE3 = "plateau_example3"
@@ -66,14 +66,23 @@ def train_knn(ds: Dataset, k: int = 1) -> KnnModel:
 
 
 def _knn_neighbor_rows(model: KnnModel, queries: np.ndarray) -> np.ndarray:
-    """Indices of the k nearest training points per query row.
+    """Indices of the k nearest training points per query row, shape (m, k).
 
-    Ties on the k-th distance go to the lowest training index; a stable
-    argsort on the distance row gives exactly that order.
+    Ties on the k-th distance go to the lowest training index: ``argmin``
+    returns the first minimum, and a stable argsort keeps index order among
+    equal distances.  Both read the same distance values.  The queries run
+    in row blocks of at most ``data.BLOCK_CELLS`` difference entries, so
+    memory does not grow with the query count.
     """
-    dist = pairwise_distances(L2, queries, model.train.points)
-    order = np.argsort(dist, axis=1, kind="stable")
-    return order[:, : model.k]
+    train = model.train.points
+    out = np.empty((len(queries), model.k), dtype=np.intp)
+    for block in row_blocks(len(queries), train.size):
+        dist = pairwise_distances(L2, queries[block], train)
+        if model.k == 1:
+            out[block, 0] = dist.argmin(axis=1)
+        else:
+            out[block] = np.argsort(dist, axis=1, kind="stable")[:, :model.k]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +126,6 @@ def train_kernel(ds: Dataset, kind: str = GAUSSIAN,
 # recursive histogram
 
 
-# rows x leaves booleans per block of the batched leaf lookup; caps the
-# lookup's temporaries near 1 MB whatever the query count
-_LOOKUP_CELLS = 1 << 20
-
-
 @dataclass
 class HistogramModel:
     train: Dataset
@@ -150,15 +154,13 @@ class HistogramModel:
         A row lies in leaf i iff leaf_lo[i] <= x < leaf_hi[i] in every
         coordinate; the boxes partition the root, so at most one matches.
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        queries = as_queries(self, queries)
         lo, hi = np.ascontiguousarray(self.leaf_lo.T), np.ascontiguousarray(self.leaf_hi.T)
         d, leaves = lo.shape
-        if queries.shape[1] != d:
-            raise ValueError("query dimension mismatch")
         out = np.full(len(queries), -1, dtype=np.intp)
-        rows = max(1, _LOOKUP_CELLS // leaves)
-        for start in range(0, len(queries), rows):
-            block = queries[start:start + rows]
+        # rows x leaves booleans per block
+        for rows in row_blocks(len(queries), leaves):
+            block = queries[rows]
             inside = np.ones((len(block), leaves), dtype=bool)
             for j in range(d):
                 col = block[:, j:j + 1]
@@ -166,7 +168,7 @@ class HistogramModel:
                 inside &= col < hi[j]
             first = inside.argmax(axis=1)
             hit = inside[np.arange(len(block)), first]
-            out[start:start + len(block)][hit] = first[hit]
+            out[rows][hit] = first[hit]
         return out
 
     @cached_property
@@ -295,6 +297,15 @@ def make_model(kind: str, ds: Dataset, *, k: int = 1, kn: Optional[int] = None,
 # shared prediction surface
 
 
+def as_queries(model, queries) -> np.ndarray:
+    """``queries`` as a float ``(m, d)`` array in the model's dimension d;
+    ValueError otherwise, where numpy would broadcast a wrong width."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    if queries.ndim != 2 or queries.shape[1] != model.train.dim:
+        raise ValueError("query dimension mismatch")
+    return queries
+
+
 def weights(model, x) -> np.ndarray:
     """Per-training-point weight vector at query x (sums to 1).
 
@@ -302,16 +313,12 @@ def weights(model, x) -> np.ndarray:
     all-zero vector; prediction then falls to the -1 default through the
     tie rule.
     """
-    return weights_batch(model, np.atleast_2d(np.asarray(x, dtype=float)))[0]
+    return weights_batch(model, x)[0]
 
 
 def weights_batch(model, queries: np.ndarray) -> np.ndarray:
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    m = queries.shape[0]
-    if queries.shape[1] != model.train.dim:
-        raise ValueError("query dimension mismatch")
-    n = model.n
-    out = np.zeros((m, n))
+    queries = as_queries(model, queries)
+    out = np.zeros((len(queries), model.n))
     if isinstance(model, KnnModel):
         rows = _knn_neighbor_rows(model, queries)
         np.put_along_axis(out, rows, 1.0 / model.k, axis=1)
@@ -336,12 +343,12 @@ def weights_batch(model, queries: np.ndarray) -> np.ndarray:
 
 
 def predict(model, x) -> int:
-    return int(predict_batch(model, np.atleast_2d(np.asarray(x, dtype=float)))[0])
+    return int(predict_batch(model, x)[0])
 
 
 def predict_batch(model, queries: np.ndarray) -> np.ndarray:
     """Vectorized prediction; +1 iff the weighted label vote is positive."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    queries = as_queries(model, queries)
     if isinstance(model, KnnModel):
         # fast path: vote of the k nearest labels, no dense weight matrix
         rows = _knn_neighbor_rows(model, queries)

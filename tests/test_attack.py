@@ -453,6 +453,29 @@ def test_run_attack_auto_matches_direct():
     assert auto.outcome == direct.outcome and auto.radius == direct.radius
 
 
+def _moons_model(method):
+    ds = generate(ScenarioSpec("half_moons", 200, sigma=0.05), RandomStream(3, 0))
+    return train_histogram(ds) if method == "histogram" else train_knn(ds, k=1)
+
+
+@pytest.mark.parametrize("x", [[np.nan, np.nan], [np.nan, 0.1], [0.2, np.inf],
+                               [-np.inf, 0.0]])
+@pytest.mark.parametrize("method", ["histogram", "nn1", "grid"])
+def test_attacks_reject_non_finite_query(method, x):
+    model = _moons_model(method)
+    for y in (1, -1):
+        with pytest.raises(ValueError, match="query must be finite"):
+            run_attack(model, x, y, AttackBudget(0.1), method=method, resolution=0.05)
+
+
+@pytest.mark.parametrize("x", [[0.9], [0.1, 0.2, 0.3]])
+@pytest.mark.parametrize("method", ["histogram", "nn1", "grid"])
+def test_attacks_reject_query_of_wrong_dimension(method, x):
+    model = _moons_model(method)
+    with pytest.raises(ValueError, match="query dimension mismatch"):
+        run_attack(model, x, 1, AttackBudget(0.1), method=method, resolution=0.05)
+
+
 # ---------------------------------------------------------------------------
 # exact methods vs the grid oracle
 

@@ -292,6 +292,17 @@ def test_attack_hist_root_must_match_dimension(tmp_path, capsys):
     assert "hist-root" in capsys.readouterr().err
 
 
+def test_attack_test_dimension_must_match_training(tmp_path, capsys):
+    train = _gen(tmp_path, "train.csv", "half_moons", 30)
+    test = _gen(tmp_path, "test.csv", "example2", 5, seed=1)
+    out = tmp_path / "o.csv"
+    rc = main(["attack", "--train-csv", str(train), "--test-csv", str(test),
+               "--model", "knn", "--k", "3", "--r", "0.1", "--out", str(out)])
+    assert rc == 1
+    assert "query dimension mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_attack_method_mismatch_exits_2(tmp_path, capsys):
     train = _gen(tmp_path, "train.csv", "half_moons", 30)
     test = _gen(tmp_path, "test.csv", "half_moons", 5, seed=1)

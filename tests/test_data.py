@@ -65,6 +65,25 @@ def test_pairwise_matches_scalar():
                 assert mat[i, j] == pytest.approx(distance(m, rows[i], cols[j]))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 10])
+def test_pairwise_row_blocks_match_whole_tensor(monkeypatch, d):
+    # the reference reduces the whole (m, n, d) tensor at once; blocking the
+    # rows must not change a bit, including where numpy's pairwise sum
+    # regroups (d >= 8)
+    rng = np.random.default_rng(70 + d)
+    rows, cols = rng.normal(size=(23, d)), 1e3 * rng.normal(size=(9, d))
+    diff = rows[:, None, :] - cols[None, :, :]
+    whole = {L2: np.sqrt(np.sum(diff * diff, axis=2)), LINF: np.max(np.abs(diff), axis=2)}
+    monkeypatch.setattr("astute_np.data.BLOCK_CELLS", 4 * cols.size)
+    for m in (L2, LINF):
+        assert np.array_equal(pairwise_distances(m, rows, cols), whole[m])
+
+
+def test_pairwise_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pairwise_distances(L2, [[0.9]], np.zeros((3, 2)))
+
+
 # ---------------------------------------------------------------------------
 # random streams
 

@@ -1,5 +1,7 @@
 """Classifier families: weights, predictions, histogram structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from astute_np import (GAUSSIAN, INVERSE_POLY, PLATEAU_EXAMPLE3,
                        default_bandwidth, default_cell_threshold, generate,
                        make_model, predict, predict_batch, train_histogram,
                        train_kernel, train_knn, weights, weights_batch)
+from astute_np.data import row_blocks
 from astute_np.models import log_kernel
 
 import oracles
@@ -66,6 +69,11 @@ def test_knn_tie_breaks_by_lowest_index():
     ds = Dataset(np.array([[0.0], [1.0], [-1.0]]), np.array([1, 1, -1]))
     model = train_knn(ds, k=2)
     assert np.allclose(weights(model, [0.0]), [0.5, 0.5, 0.0])
+    # indices 1 and 2 are equidistant and nearest; k=1 must pick index 1
+    ds = Dataset(np.array([[5.0], [1.0], [-1.0]]), np.array([-1, 1, -1]))
+    model = train_knn(ds, k=1)
+    assert np.array_equal(weights(model, [0.0]), [0.0, 1.0, 0.0])
+    assert predict(model, [0.0]) == 1
 
 
 def test_knn_batch_matches_scalar():
@@ -77,6 +85,42 @@ def test_knn_batch_matches_scalar():
         assert np.allclose(batch[i], weights(model, q))
     assert np.array_equal(predict_batch(model, queries),
                           [predict(model, q) for q in queries])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_knn_tie_rule_across_row_blocks(monkeypatch, d, k):
+    # integer training points and half-integer queries: many exact ties,
+    # coincident training points included
+    rng = np.random.default_rng(90 + 10 * d + k)
+    pts = rng.integers(-2, 3, (40, d)).astype(float)
+    ds = Dataset(pts, np.where(rng.random(40) < 0.5, 1, -1))
+    queries = rng.integers(-5, 6, (50, d)) / 2.0
+    model = train_knn(ds, k=k)
+    monkeypatch.setattr("astute_np.data.BLOCK_CELLS", 7 * pts.size)
+    assert len(row_blocks(len(queries), pts.size)) == 8
+    batch = weights_batch(model, queries)
+    for q, row in zip(queries, batch):
+        assert np.array_equal(row, oracles.knn_weights_oracle(pts, q, k))
+    assert np.array_equal(predict_batch(model, queries),
+                          [predict(model, q) for q in queries])
+    assert weights_batch(model, np.zeros((0, d))).shape == (0, 40)
+    assert predict_batch(model, np.zeros((0, d))).shape == (0,)
+
+
+def test_knn_predict_batch_memory_is_bounded():
+    # the full (2000, 3000, 2) difference tensor alone would take 96 MB
+    rng = np.random.default_rng(95)
+    model = train_knn(Dataset(rng.random((3000, 2)),
+                              np.where(rng.random(3000) < 0.5, 1, -1)), k=1)
+    queries = rng.random((2000, 2))
+    tracemalloc.start()
+    try:
+        predict_batch(model, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +379,15 @@ def test_prediction_sign_rule():
     ds = Dataset(np.array([[0.0], [2.0]]), np.array([1, -1]))
     model = train_knn(ds, k=2)  # uniform weights, vote exactly 0
     assert predict(model, [1.0]) == -1
+
+
+@pytest.mark.parametrize("family", ["knn", "kernel", "histogram"])
+def test_query_dimension_mismatch_rejected(family):
+    model = make_model(family, _random_ds(43, n=30), k=3)
+    for q in ([0.9], [[0.9], [0.4]], [0.1, 0.2, 0.3], np.zeros((0, 3))):
+        for call in (predict, predict_batch, weights, weights_batch):
+            with pytest.raises(ValueError, match="query dimension mismatch"):
+                call(model, q)
 
 
 @settings(max_examples=25, deadline=None)
