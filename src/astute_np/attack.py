@@ -172,8 +172,10 @@ def _small_lp(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.nd
 
 
 def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
+                           same_sq: np.ndarray,
                            abort_above: float) -> tuple[float, Optional[np.ndarray]]:
-    """Distance from x to the region where z beats every point in same_pts.
+    """Distance from x to the region where z beats every point in same_pts,
+    whose squared norms are same_sq.
 
     Returns (distance, optimal point); (inf, None) when the working bound
     proves the distance exceeds ``abort_above``.  Raises RuntimeError when
@@ -181,7 +183,7 @@ def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
     the region always contains z, so float64 could not resolve the bisectors.
     """
     A_full = 2.0 * (same_pts - z)
-    b_full = (same_pts * same_pts).sum(axis=1) - float(z @ z)
+    b_full = same_sq - float(z @ z)
     l1_full = np.abs(A_full).sum(axis=1)
 
     # seed the working set with the strongest cut at x
@@ -228,13 +230,10 @@ def _nn1_attack(model: KnnModel, x: np.ndarray, y: int, prediction: int,
     if prediction != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
 
-    pts = model.train.points
-    labels = model.train.labels
-    opp = np.flatnonzero(labels != y)
-    if len(opp) == 0:
+    zs, zz = model.by_label[-y]
+    if len(zs) == 0:
         return AttackResult(CERTIFIED_ASTUTE)
-    same = np.flatnonzero(labels == y)
-    same_pts = pts[same]
+    same_pts, same_sq = model.by_label[y]
 
     # lower bound per z: distance to the single bisector against the
     # same-label point nearest to x (a superset of the true polygon)
@@ -242,9 +241,8 @@ def _nn1_attack(model: KnnModel, x: np.ndarray, y: int, prediction: int,
     for j in range(1, len(x)):
         d_same = np.maximum(d_same, np.abs(same_pts[:, j] - x[j]))
     s0 = same_pts[int(np.argmin(d_same))]
-    zs = pts[opp]
     A0 = 2.0 * (s0 - zs)
-    b0 = float(s0 @ s0) - (zs * zs).sum(axis=1)
+    b0 = float(s0 @ s0) - zz
     l1 = np.abs(A0).sum(axis=1)
     lb = np.where(l1 > 0, np.maximum(0.0, (A0 @ x - b0) / np.where(l1 > 0, l1, 1.0)), 0.0)
 
@@ -258,7 +256,7 @@ def _nn1_attack(model: KnnModel, x: np.ndarray, y: int, prediction: int,
     for zi in near[np.argsort(lb[near], kind="stable")]:
         if lb[zi] >= min(best, bound):
             break
-        d, p = _polygon_linf_distance(x, zs[zi], same_pts, min(best, bound))
+        d, p = _polygon_linf_distance(x, zs[zi], same_pts, same_sq, min(best, bound))
         if d < best:
             best, best_p, best_z = d, p, zs[zi]
 

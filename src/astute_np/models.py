@@ -6,7 +6,9 @@ per training point (summing to 1, and depending only on training positions,
 never labels), and the predicted label is +1 exactly when the weighted label
 sum is positive.  A weighted sum of zero, including the all-zero weight
 vector a histogram emits outside its root cell, predicts -1.  k-NN and
-kernel distances are Euclidean (L2).
+kernel distances are Euclidean (L2).  Models are frozen: the tables derived
+from them (``HistogramModel.regions``, ``KnnModel.by_label``) are cached on
+first use.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def default_cell_threshold(n: int) -> int:
 # k-nearest-neighbor
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnnModel:
     train: Dataset
     k: int
@@ -55,6 +57,18 @@ class KnnModel:
     @property
     def n(self) -> int:
         return len(self.train)
+
+    @cached_property
+    def by_label(self) -> dict:
+        """The training set split by label, ``{label: (points, sq_norms)}``
+        for each label in {+1, -1}: the rows labelled so, in training order,
+        and their squared Euclidean norms."""
+        pts, labels = self.train.points, self.train.labels
+        split = {}
+        for y in (1, -1):
+            p = pts[labels == y]
+            split[y] = (p, (p * p).sum(axis=1))
+        return split
 
 
 def train_knn(ds: Dataset, k: int = 1) -> KnnModel:
@@ -101,7 +115,7 @@ def log_kernel(kind: str, u: np.ndarray) -> np.ndarray:
     return -2.0 * np.log1p(u)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelModel:
     train: Dataset
     kind: str
@@ -126,7 +140,7 @@ def train_kernel(ds: Dataset, kind: str = GAUSSIAN,
 # recursive histogram
 
 
-@dataclass
+@dataclass(frozen=True)
 class HistogramModel:
     train: Dataset
     root_lo: np.ndarray

@@ -225,6 +225,40 @@ def histogram_attack_radius(model, x, y: int) -> float:
     return best
 
 
+def nn1_attack_radius(points, labels, x, y: int) -> float:
+    """l-inf distance from x to where 1-NN on (points, labels) predicts -y,
+    by linear programming (0 when x is already there, inf when no point has
+    label -y).
+
+    For each site z labelled -y, scipy's HiGHS solver minimises t over
+    (p, t) subject to |p - x|_inf <= t and |p - z|^2 <= |p - s|^2, a
+    halfplane, for every point s labelled y; the radius is the minimum over
+    z.  Shares no code with the library's branch and bound.
+    """
+    from scipy.optimize import linprog
+
+    points = np.asarray(points, dtype=float)
+    labels = np.asarray(labels)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    d = len(x)
+    same = points[labels == y]
+    eye = np.eye(d)
+    # |p - x|_inf <= t as 2d rows over the variables (p, t)
+    box_A = np.block([[eye, -np.ones((d, 1))], [-eye, -np.ones((d, 1))]])
+    box_b = np.concatenate([x, -x])
+    best = math.inf
+    for z in points[labels == -y]:
+        # |p - z|^2 <= |p - s|^2  <=>  2 (s - z) . p <= |s|^2 - |z|^2
+        bis_A = np.column_stack([2.0 * (same - z), np.zeros(len(same))])
+        bis_b = np.einsum("ij,ij->i", same, same) - float(np.dot(z, z))
+        res = linprog(np.eye(d + 1)[d], A_ub=np.vstack([box_A, bis_A]),
+                      b_ub=np.concatenate([box_b, bis_b]),
+                      bounds=[(None, None)] * d + [(0, None)], method="highs")
+        assert res.status == 0, res.message
+        best = min(best, float(res.fun))
+    return best
+
+
 def histogram_walk_leaf(model, x) -> int:
     """Leaf id of x found by descending the split tree, or -1 outside the
     root.

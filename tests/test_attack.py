@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from astute_np import (CERTIFIED_ASTUTE, FOUND, UNKNOWN, AttackBudget,
                        AttackMethodError, CostGuardError, Dataset,
-                       RandomStream, ScenarioSpec, attack_all, generate,
-                       grid_attack, histogram_attack, nn1_attack_exact,
-                       predict, resolve_attack, run_attack, train_histogram,
-                       train_kernel, train_knn)
+                       RandomStream, ScenarioSpec, adv_prune, attack_all,
+                       generate, grid_attack, histogram_attack,
+                       nn1_attack_exact, predict, resolve_attack, run_attack,
+                       train_histogram, train_kernel, train_knn)
 from astute_np.attack import _shell_offsets
 
 import oracles
@@ -268,11 +268,23 @@ def test_nn1_certifies_below_bisector_distance():
     assert res.outcome == CERTIFIED_ASTUTE
 
 
-def test_nn1_no_opposite_label_certifies():
+@pytest.mark.parametrize("path", ["nn1_attack_exact", "attack_all"])
+def test_nn1_no_opposite_label_certifies(path):
+    """With no -1 training point, every y = +1 point is certified and every
+    y = -1 point is FOUND where it stands."""
     ds = Dataset(np.array([[0.0, 0.0], [0.4, 0.1], [0.9, 0.3]]), np.array([1, 1, 1]))
     model = train_knn(ds, k=1)
-    res = nn1_attack_exact(model, [0.5, 0.5], 1, AttackBudget(5.0))
-    assert res.outcome == CERTIFIED_ASTUTE
+    test = Dataset(np.array([[0.5, 0.5], [0.5, 0.5], [-2.0, 3.0]]), np.array([1, -1, -1]))
+    budget = AttackBudget(5.0)
+    if path == "attack_all":
+        table = attack_all(model, test, budget, method="nn1")
+        outcomes, radii = list(table.outcome), list(table.radius)
+    else:
+        results = [nn1_attack_exact(model, x, int(y), budget)
+                   for x, y in zip(test.points, test.labels)]
+        outcomes, radii = [r.outcome for r in results], [r.radius for r in results]
+    assert outcomes == [CERTIFIED_ASTUTE, FOUND, FOUND]
+    assert radii[1:] == [0.0, 0.0]
 
 
 def test_nn1_requires_k1_l2_2d():
@@ -511,6 +523,26 @@ def test_nn1_attack_vs_grid_oracle(seed):
     ds = _random_ds(3000 + seed, n=25)
     model = train_knn(ds, k=1)
     _cross_check(model, nn1_attack_exact, 4000 + seed, AttackBudget(0.12), 0.012)
+
+
+def test_nn1_radius_matches_lp_oracle():
+    """The exact radius agrees with a per-site linear program, and so does
+    the verdict at a budget that splits the points, on noisy half-moons and
+    on one pruned set."""
+    pytest.importorskip("scipy")
+    for seed, prune_r in ((40, None), (41, None), (42, 0.1)):
+        train = generate(ScenarioSpec("half_moons", 60, sigma=0.1), RandomStream(seed, 0))
+        test = generate(ScenarioSpec("half_moons", 12, sigma=0.1), RandomStream(seed, 1))
+        if prune_r is not None:
+            train = train.subset(adv_prune(train, prune_r).kept)
+        model = train_knn(train, k=1)
+        radii = np.array([oracles.nn1_attack_radius(train.points, train.labels, x, int(y))
+                          for x, y in zip(test.points, test.labels)])
+        for budget in (AttackBudget(0.3), AttackBudget(0.15)):
+            table = attack_all(model, test, budget, method="nn1")
+            found = table.outcome == FOUND
+            assert np.array_equal(found, radii <= budget.r + budget.tol)
+            assert np.all(np.abs(table.radius[found] - radii[found]) <= 1e-9)
 
 
 # ---------------------------------------------------------------------------

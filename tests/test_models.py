@@ -1,5 +1,6 @@
 """Classifier families: weights, predictions, histogram structure."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,18 @@ def test_knn_predict_batch_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+def test_knn_by_label_is_the_cached_label_split():
+    ds = _random_ds(96, n=40)
+    model = train_knn(ds, k=1)
+    assert model.by_label is model.by_label
+    assert set(model.by_label) == {1, -1}
+    for y in (1, -1):
+        pts, sq = model.by_label[y]
+        expected = ds.points[ds.labels == y]
+        assert np.array_equal(pts, expected)
+        assert np.array_equal(sq, (expected * expected).sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +369,15 @@ def test_histogram_weights_uniform_within_leaf():
 
 # ---------------------------------------------------------------------------
 # shared weight-function laws
+
+
+@pytest.mark.parametrize("family", ["knn", "kernel", "histogram"])
+def test_models_are_frozen(family):
+    ds = _random_ds(97, n=20)
+    model = make_model(family, ds)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.train = _random_ds(98, n=20)
+    assert model.train is ds
 
 
 @pytest.mark.parametrize("family", ["knn", "kernel", "histogram"])
