@@ -14,6 +14,7 @@ examples but can never certify their absence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -279,29 +280,23 @@ def _nn1_attack(model: KnnModel, x: np.ndarray, y: int, prediction: int,
 # grid oracle
 
 
-def _prepend(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Each value followed by every row, value-major."""
-    return np.column_stack([np.repeat(values, len(rows)),
-                            np.tile(rows, (len(values), 1))])
+@functools.lru_cache(maxsize=1)
+def _lattice(steps: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer offset in {-steps..steps}^d and each shell's end:
+    shell k = max|o| is ``offsets[ends[k - 1]:ends[k]]``.
 
-
-def _shell_offsets(k: int, d: int) -> np.ndarray:
-    """Integer offsets o in {-k..k}^d with max|o| = k, as float rows in
-    lexicographic order (the last coordinate varies fastest).
-
-    Built one leading coordinate at a time: a first coordinate of -k or k
-    takes every tail in the lower-dimensional cube, one in between only the
-    tails on its shell.  The work is linear in the shell's size, where
-    filtering the whole cube would be quadratic over a scan's shells.
+    Shells come in order of k, each in lexicographic order (the last
+    coordinate varies fastest): C-order indices are lexicographic, and a
+    stable sort by shell keeps that order within a shell.  The attacks of
+    one ``attack_all`` or sweep all scan the same (steps, d), so only the
+    last shape is cached; both arrays are read-only.
     """
-    axis = np.arange(-k, k + 1, dtype=float)
-    cube, shell = np.zeros((1, 0)), np.zeros((0, 0))
-    for m in range(d):
-        if m:
-            cube = _prepend(axis, cube)
-        shell = np.concatenate([_prepend(axis[:1], cube), _prepend(axis[1:-1], shell),
-                                _prepend(axis[-1:], cube)])
-    return shell
+    offsets = np.indices((2 * steps + 1,) * d).reshape(d, -1).T - steps
+    shell = np.abs(offsets).max(axis=1)
+    offsets = offsets[np.argsort(shell, kind="stable")]
+    ends = np.cumsum(np.bincount(shell))
+    offsets.flags.writeable = ends.flags.writeable = False
+    return offsets, ends
 
 
 def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float) -> AttackResult:
@@ -326,9 +321,9 @@ def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float) -> At
     if predict(model, x) != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
 
+    offsets, ends = _lattice(steps, d)
     for k in range(1, steps + 1):
-        offsets = _shell_offsets(k, d) * resolution
-        queries = x + offsets
+        queries = x + offsets[ends[k - 1]:ends[k]] * resolution
         preds = predict_batch(model, queries)
         hits = np.flatnonzero(preds != y)
         if len(hits):

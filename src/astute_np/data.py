@@ -9,6 +9,7 @@ defined in terms of training indices.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,14 @@ def require_positive(name: str, value):
     """``value`` if finite and > 0, else ValueError (NaN too, unlike ``<= 0``)."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def _require_count(name: str, value, least: int = 1):
+    """``value`` if an integer (numpy integers too) >= ``least``, else
+    ValueError: a float count would only fail later, inside numpy."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -132,7 +141,7 @@ class ScenarioSpec:
     kind
         one of ``half_moons``, ``example1``, ``example2``, ``example3``
     n
-        sample count, n >= 0
+        sample count, an integer >= 0
     sigma
         per-coordinate Gaussian noise (half_moons only)
     r
@@ -147,8 +156,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in ("half_moons", "example1", "example2", "example3"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if not self.n >= 0:
-            raise ValueError("n must be >= 0")
+        _require_count("n", self.n, least=0)
         if not 0 <= self.sigma < math.inf:
             raise ValueError("sigma must be >= 0 and finite")
         if self.kind == "example1":

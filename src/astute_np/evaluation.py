@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (LINF, Dataset, RandomStream, ScenarioSpec,
+from .data import (LINF, Dataset, RandomStream, ScenarioSpec, _require_count,
                    example1_posterior, generate, pairwise_distances,
                    require_positive)
 from .models import GAUSSIAN, KERNELS, MODELS, make_model, predict_batch, weights
@@ -63,12 +63,6 @@ def empirical_astuteness(model, test: Dataset, budget: AttackBudget,
 # convergence sweep
 
 
-def _require_count(name: str, value) -> None:
-    """ValueError unless ``value`` is finite and >= 1."""
-    if require_positive(name, value) < 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
 def _check_shared(cfg) -> ScenarioSpec:
     """Rules sweep and probe configs share, the scenario's through
     ``ScenarioSpec``; returns that scenario with n = 0."""
@@ -78,8 +72,10 @@ def _check_shared(cfg) -> ScenarioSpec:
         raise ValueError(f"unknown kernel {cfg.kernel!r}")
     _require_count("k", cfg.k)
     scenario = ScenarioSpec(cfg.scenario, 0, sigma=cfg.sigma, r=cfg.scenario_r)
-    if not cfg.sizes or not all(n >= 1 for n in cfg.sizes):
-        raise ValueError("sizes must be positive")
+    if not cfg.sizes:
+        raise ValueError("sizes must not be empty")
+    for n in cfg.sizes:
+        _require_count("sizes", n)
     if cfg.prune_r is not None:
         require_positive("prune_r", cfg.prune_r)
     return scenario
@@ -106,8 +102,8 @@ class SweepConfig:
         _check_shared(self)
         if list(self.sizes) != sorted(set(self.sizes)):
             raise ValueError("sizes must be strictly increasing")
-        if not (self.repeats >= 1 and self.n_test >= 1):
-            raise ValueError("repeats and n_test must be >= 1")
+        _require_count("repeats", self.repeats)
+        _require_count("n_test", self.n_test)
         require_positive("attack_r", self.attack_r)
         if self.kn is not None:
             _require_count("kn", self.kn)
@@ -213,9 +209,9 @@ class ProbeConfig:
                              f"scenario {self.scenario!r}")
         if not 0 < self.a < self.b:
             raise ValueError("need 0 < a < b")
-        if not (self.draws >= 1 and self.boundary_candidates >= 1
-                and self.interior_candidates >= 0):
-            raise ValueError("counts must be positive")
+        _require_count("draws", self.draws)
+        _require_count("boundary_candidates", self.boundary_candidates)
+        _require_count("interior_candidates", self.interior_candidates, least=0)
         if self.prune_r is not None and self.fixed_x is not None:
             raise ValueError("fixed_x and prune_r exclude each other: "
                              "the pruned probe averages over the pruned points")

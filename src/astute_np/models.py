@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, L2, pairwise_distances, require_positive, row_blocks
+from .data import (Dataset, L2, _require_count, pairwise_distances, require_positive,
+                   row_blocks)
 
 GAUSSIAN = "gaussian"
 PLATEAU_EXAMPLE3 = "plateau_example3"
@@ -74,9 +75,7 @@ class KnnModel:
 def train_knn(ds: Dataset, k: int = 1) -> KnnModel:
     if len(ds) == 0:
         raise ValueError("empty training set")
-    if not k >= 1:
-        raise ValueError("k must be >= 1")
-    return KnnModel(ds, min(int(k), len(ds)))
+    return KnnModel(ds, min(int(_require_count("k", k)), len(ds)))
 
 
 def _knn_neighbor_rows(model: KnnModel, queries: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ class ConflictGraph:
     left: np.ndarray
     right: np.ndarray
     adj: list
-    edge_count: int
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +98,7 @@ def build_conflict_graph(ds: Dataset, r: float) -> ConflictGraph:
             ends = np.cumsum(np.count_nonzero(close, axis=1)).tolist()
             for u, a, b in zip(blk.tolist(), [0] + ends, ends):
                 adj[u] = flat[a:b]
-    return ConflictGraph(left, right, adj, sum(map(len, adj)))
+    return ConflictGraph(left, right, adj)
 
 
 def _alternating_layers(g: ConflictGraph, pair_l, pair_r) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from astute_np import (CERTIFIED_ASTUTE, FOUND, UNKNOWN, AttackBudget,
                        generate, grid_attack, histogram_attack,
                        nn1_attack_exact, predict, resolve_attack, run_attack,
                        train_histogram, train_kernel, train_knn)
-from astute_np.attack import _shell_offsets
+from astute_np.attack import _lattice
 
 import oracles
 
@@ -393,10 +393,45 @@ def test_grid_witness_on_lattice():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_shells_in_product_order(d):
+    offsets, ends = _lattice(4, d)
+    assert ends[0] == 1 and not offsets[0].any()
+    assert ends[-1] == len(offsets) == 9 ** d
     for k in range(1, 5):
         reference = [off for off in itertools.product(range(-k, k + 1), repeat=d)
                      if max(abs(o) for o in off) == k]
-        assert np.array_equal(_shell_offsets(k, d), np.array(reference, dtype=float))
+        assert np.array_equal(offsets[ends[k - 1]:ends[k]], np.array(reference))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_radius_matches_oracle(d):
+    """The first flipped shell agrees with an independent shell loop on
+    3-NN, Gaussian kernel and histogram models; alternating resolutions
+    rebuild the one cached lattice between calls."""
+    rng = np.random.default_rng(50 + d)
+    budget = AttackBudget(0.12)
+    for seed in range(3):
+        ds = _random_ds(60 + 10 * d + seed, n=30, d=d)
+        for model in (train_knn(ds, k=3), train_kernel(ds, h=0.08), train_histogram(ds)):
+            for i in range(8):
+                resolution = (0.012, 0.02)[i % 2]
+                x = rng.uniform(0.05, 0.95, d)
+                y = predict(model, x)
+                res = grid_attack(model, x, y, budget, resolution)
+                want = oracles.grid_misprediction_radius(
+                    lambda q: predict(model, q), x, y, budget.r, resolution)
+                if want is None:
+                    assert res.outcome == UNKNOWN
+                else:
+                    assert res.found and abs(res.radius - want) <= 1e-12
+                    assert predict(model, res.witness) != y
+
+
+def test_grid_lattice_is_read_only():
+    offsets, ends = _lattice(2, 2)
+    with pytest.raises(ValueError):
+        offsets[0, 0] = 1
+    with pytest.raises(ValueError):
+        ends[0] = 0
 
 
 def test_grid_resolution_validation():
@@ -411,6 +446,14 @@ def test_grid_cost_guard():
     model = _constant_plus_model()
     with pytest.raises(CostGuardError):
         grid_attack(model, [0.5, 0.5], 1, AttackBudget(1.0), resolution=1e-4)
+
+
+def test_grid_cost_guard_builds_no_lattice():
+    _lattice.cache_clear()
+    with pytest.raises(CostGuardError):
+        grid_attack(_constant_plus_model(), [0.5, 0.5], 1, AttackBudget(1.0),
+                    resolution=1e-4)
+    assert _lattice.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,10 @@ def test_scenario_validation():
         ScenarioSpec("half_moons", 5, sigma=-0.1)
     with pytest.raises(ValueError):
         ScenarioSpec("example1", 5, r=0.0)
+    for n in (2.5, 5.0, -1):
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
+            ScenarioSpec("half_moons", n)
+    assert ScenarioSpec("half_moons", np.int64(0)).n == 0
 
 
 _LINE = Dataset(np.array([[0.0], [0.5]]), np.array([1, -1]))

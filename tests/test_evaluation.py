@@ -203,6 +203,12 @@ def test_sweep_prune_path(monkeypatch):
     dict(kernel="bogus"),
     dict(k=0),
     dict(model="histogram", kn=0),
+    dict(sizes=(10.5,)),
+    dict(sizes=(10.0,)),
+    dict(repeats=1.5),
+    dict(n_test=5.5),
+    dict(k=2.5),
+    dict(model="histogram", kn=2.5),
 ])
 def test_sweep_config_validation(bad):
     with pytest.raises(ValueError):
@@ -260,6 +266,12 @@ def test_probe_validation():
         probe_far_weight(ProbeConfig(draws=0))
     with pytest.raises(ValueError):
         probe_far_weight(ProbeConfig(sizes=()))
+    # counts must be integers; a float fails in the config, not in numpy
+    for bad in (dict(draws=2.5), dict(sizes=(10.5,)), dict(k=1.5),
+                dict(boundary_candidates=4.5), dict(interior_candidates=0.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ProbeConfig(**bad)
+    ProbeConfig(draws=np.int64(2), sizes=(np.int32(10),), interior_candidates=0)
     with pytest.raises(ValueError, match="unknown model"):
         probe_far_weight(ProbeConfig(model="forest"))
     with pytest.raises(ValueError, match="unknown kernel"):

@@ -49,6 +49,16 @@ def test_knn_k_clamped_to_n():
     assert model.k == 5
 
 
+@pytest.mark.parametrize("k", [0, 2.5, 2.0, np.nan])
+def test_knn_rejects_non_integral_k(k):
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        train_knn(_random_ds(1, n=5), k=k)
+
+
+def test_knn_accepts_numpy_integer_k():
+    assert train_knn(_random_ds(1, n=5), k=np.int64(3)).k == 3
+
+
 def test_knn_empty_rejected():
     with pytest.raises(ValueError):
         train_knn(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int8)), k=1)
