@@ -209,6 +209,17 @@ def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
         work.append(worst)
 
 
+def _loses_every_tie(z: np.ndarray, z_index: int, same_pts: np.ndarray,
+                     same_index: np.ndarray) -> bool:
+    """Whether site z lies at the place of a lower-index point of
+    ``same_pts``.  Such a site loses every tie to that point, so it is never
+    the nearest neighbour; yet its bisector with that point is void, so its
+    polygon is solved as if it could be."""
+    at = np.flatnonzero(same_pts[:, 0] == z[0])
+    return at.size > 0 and bool(np.any((same_index[at] < z_index)
+                                       & (same_pts[at] == z).all(axis=1)))
+
+
 def nn1_attack_exact(model: KnnModel, x, y: int, budget: AttackBudget) -> AttackResult:
     """Exact minimal l-inf adversarial radius against 2-D 1-NN.
 
@@ -231,10 +242,10 @@ def _nn1_attack(model: KnnModel, x: np.ndarray, y: int, prediction: int,
     if prediction != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
 
-    zs, zz = model.by_label[-y]
+    zs, zz, z_index = model.by_label[-y]
     if len(zs) == 0:
         return AttackResult(CERTIFIED_ASTUTE)
-    same_pts, same_sq = model.by_label[y]
+    same_pts, same_sq, same_index = model.by_label[y]
 
     # lower bound per z: distance to the single bisector against the
     # same-label point nearest to x (a superset of the true polygon)
@@ -258,7 +269,7 @@ def _nn1_attack(model: KnnModel, x: np.ndarray, y: int, prediction: int,
         if lb[zi] >= min(best, bound):
             break
         d, p = _polygon_linf_distance(x, zs[zi], same_pts, same_sq, min(best, bound))
-        if d < best:
+        if d < best and not _loses_every_tie(zs[zi], z_index[zi], same_pts, same_index):
             best, best_p, best_z = d, p, zs[zi]
 
     if best <= bound:
@@ -266,13 +277,13 @@ def _nn1_attack(model: KnnModel, x: np.ndarray, y: int, prediction: int,
         # convex and contains the site strictly inside every bisector, so any
         # step along that segment flips the prediction; the reported radius
         # stays the exact infimum
-        witness = best_p
-        for eps in (1e-9, 1e-7, 1e-5):
-            trial = best_p + eps * (best_z - best_p)
-            if predict(model, trial) != y:
-                witness = trial
-                break
-        return AttackResult(FOUND, witness=witness, radius=float(best))
+        nudged = [best_p + eps * (best_z - best_p) for eps in (1e-9, 1e-7, 1e-5)]
+        for witness in (*nudged, best_p):
+            if predict(model, witness) != y:
+                return AttackResult(FOUND, witness=witness, radius=float(best))
+        raise RuntimeError(
+            "exact 1-NN attack: no point at the solved radius flips the "
+            "prediction; use method 'grid'")
     return AttackResult(CERTIFIED_ASTUTE)
 
 
@@ -289,9 +300,10 @@ def _lattice(steps: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     coordinate varies fastest): C-order indices are lexicographic, and a
     stable sort by shell keeps that order within a shell.  The attacks of
     one ``attack_all`` or sweep all scan the same (steps, d), so only the
-    last shape is cached; both arrays are read-only.
+    last shape is cached; both arrays are read-only.  The offsets are
+    int32, exact for every scan ``_GRID_MAX_POINTS`` allows.
     """
-    offsets = np.indices((2 * steps + 1,) * d).reshape(d, -1).T - steps
+    offsets = np.indices((2 * steps + 1,) * d, dtype=np.int32).reshape(d, -1).T - steps
     shell = np.abs(offsets).max(axis=1)
     offsets = offsets[np.argsort(shell, kind="stable")]
     ends = np.cumsum(np.bincount(shell))

@@ -61,14 +61,16 @@ class KnnModel:
 
     @cached_property
     def by_label(self) -> dict:
-        """The training set split by label, ``{label: (points, sq_norms)}``
-        for each label in {+1, -1}: the rows labelled so, in training order,
-        and their squared Euclidean norms."""
+        """The training set split by label, ``{label: (points, sq_norms,
+        index)}`` for each label in {+1, -1}: the rows labelled so, in
+        training order, their squared Euclidean norms and their training
+        indices."""
         pts, labels = self.train.points, self.train.labels
         split = {}
         for y in (1, -1):
-            p = pts[labels == y]
-            split[y] = (p, (p * p).sum(axis=1))
+            index = np.flatnonzero(labels == y)
+            p = pts[index]
+            split[y] = (p, (p * p).sum(axis=1), index)
         return split
 
 

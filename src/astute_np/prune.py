@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -24,27 +23,31 @@ _BLOCK = 256
 
 @dataclass
 class ConflictGraph:
-    """Bipartite conflict structure between the two classes.
+    """Bipartite conflict structure between the two classes, as compressed
+    rows.
 
     ``left`` / ``right`` hold original training indices of the +1 and -1
-    points.  ``adj[i]`` lists right-side positions in conflict with left
-    position i, ascending.
+    points.  The right-side positions in conflict with left position i are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending; ``indices`` is int32,
+    four bytes per edge.
     """
 
     left: np.ndarray
     right: np.ndarray
-    adj: list
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)``."""
+        return self.indptr, self.indices
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``adj`` as compressed rows ``(indptr, indices)``: the neighbours of
-        left position i are ``indices[indptr[i]:indptr[i + 1]]``."""
-        indptr = np.zeros(len(self.adj) + 1, dtype=np.intp)
-        np.cumsum(np.fromiter(map(len, self.adj), dtype=np.intp, count=len(self.adj)),
-                  out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(self.adj), dtype=np.intp,
-                              count=int(indptr[-1]))
-        return indptr, indices
+    def adj(self) -> list:
+        """The rows as Python lists, built on first read; the library itself
+        never reads them."""
+        ends = self.indptr.tolist()
+        return [self.indices[a:b].tolist() for a, b in zip(ends[:-1], ends[1:])]
 
 
 @dataclass
@@ -74,12 +77,15 @@ def build_conflict_graph(ds: Dataset, r: float) -> ConflictGraph:
     two_r = 2.0 * r
     left = np.flatnonzero(ds.labels == 1)
     right = np.flatnonzero(ds.labels == -1)
-    adj: list = [[] for _ in range(len(left))]
+    counts = np.zeros(len(left), dtype=np.intp)
+    indptr = np.zeros(len(left) + 1, dtype=np.intp)
+    indices = np.zeros(0, dtype=np.int32)
     if len(left) and len(right):
         lp = ds.points[left]
         rp = ds.points[right]
         r0 = rp[:, 0]
         order = np.argsort(lp[:, 0], kind="stable")
+        runs = []
         for start in range(0, len(left), _BLOCK):
             blk = order[start:start + _BLOCK]
             x0 = lp[blk, 0]
@@ -93,51 +99,114 @@ def build_conflict_graph(ds: Dataset, r: float) -> ConflictGraph:
             for j in range(1, ds.dim):
                 close &= np.abs(pts[:, j:j + 1] - cols[:, j]) <= two_r
             # np.nonzero walks rows in order and win is ascending, so each
-            # row's slice of flat is its ascending adjacency list
-            flat = win[np.nonzero(close)[1]].tolist()
-            ends = np.cumsum(np.count_nonzero(close, axis=1)).tolist()
-            for u, a, b in zip(blk.tolist(), [0] + ends, ends):
-                adj[u] = flat[a:b]
-    return ConflictGraph(left, right, adj)
+            # row's run is its ascending neighbour list
+            runs.append(win.astype(np.int32)[np.nonzero(close)[1]])
+            counts[blk] = np.count_nonzero(close, axis=1)
+        np.cumsum(counts, out=indptr[1:])
+        # the runs follow the sweep order; seg[u] is where u's run starts,
+        # so one gather moves every run to its row's slot
+        seg = np.empty_like(counts)
+        seg[order] = np.cumsum(counts[order]) - counts[order]
+        gather = np.repeat(seg - indptr[:-1], counts)
+        gather += np.arange(len(gather))
+        indices = np.concatenate(runs)[gather]
+    return ConflictGraph(left, right, indptr, indices)
 
 
-def _alternating_layers(g: ConflictGraph, pair_l, pair_r) -> tuple[np.ndarray, np.ndarray]:
+def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edge ids (positions in ``indices``) of ``rows``, row after row,
+    and each row's edge count.  Edge ids are int32 while they fit, as the
+    graph's indices are."""
+    eid = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.intp
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    edge = np.repeat((starts - (np.cumsum(counts) - counts)).astype(eid), counts)
+    edge += np.arange(len(edge), dtype=eid)
+    return edge, counts
+
+
+def _alternating_layers(g: ConflictGraph, pair_l, pair_r) -> tuple[np.ndarray, list]:
     """Breadth-first layers of the alternating search from the free left
     vertices: non-matching edges to the right, matching edges back.
 
-    Returns ``(dist, seen_r)``: each left vertex's layer (``inf`` when
-    unreached) and which right vertices some reached left vertex touches.
-    A whole layer is expanded at once through ``g.csr``; layer numbers do
-    not depend on the order vertices are visited in.
+    Returns ``(dist, admissible)``: each left vertex's layer (``inf`` when
+    unreached), and per layer the edges an augmenting path can follow out
+    of it.  An edge is admissible when its right vertex is free, or when
+    that vertex's partner is placed in the next layer; ``admissible[L]``
+    holds such edges out of layer L as ``(edge ids, sources, partners)``.
+    A free right vertex's partner is the sentinel ``len(g.left)``, a left
+    vertex that is never placed.  A whole layer is expanded at once; layer
+    numbers do not depend on the order vertices are visited in.
     """
     indptr, indices = g.csr
-    pair_r = np.asarray(pair_r, dtype=np.intp)
-    dist = np.full(len(g.left), np.inf)
-    seen_r = np.zeros(len(g.right), dtype=bool)
+    nl = len(g.left)
+    partner = np.asarray(pair_r, dtype=np.int32)
+    partner[partner < 0] = nl
+    unplaced = np.ones(nl + 1, dtype=bool)
+    dist = np.full(nl + 1, np.inf)
     frontier = np.flatnonzero(np.asarray(pair_l, dtype=np.intp) == -1)
     dist[frontier] = 0
+    unplaced[frontier] = False
+    admissible = []
     layer = 0
     while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        edge = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        edge += np.arange(len(edge))
-        v = indices[edge]
-        seen_r[v] = True
-        w = pair_r[v]
-        w = w[w >= 0]
-        w = w[dist[w] == np.inf]
+        edge, counts = _row_edges(indptr, frontier)
+        # np.take gathers by int32 ids without first copying them to intp
+        w = np.take(partner, np.take(indices, edge))
+        ok = np.take(unplaced, w)
+        w = w[ok]
         layer += 1
         dist[w] = layer
-        frontier = np.flatnonzero(dist == layer)
-    return dist, seen_r
+        unplaced[w] = False
+        unplaced[nl] = True     # the sentinel is placed with the rest; undo it
+        admissible.append((edge[ok], np.repeat(frontier.astype(np.int32), counts)[ok], w))
+        frontier = np.flatnonzero(dist[:nl] == layer)
+    return dist[:nl], admissible
+
+
+def _live_edges(g: ConflictGraph, dist: np.ndarray, admissible: list) -> tuple[list, list, np.ndarray]:
+    """One phase's DFS graph: ``(dist, ptr, flat)``.
+
+    A vertex is alive when an admissible edge takes it to a free vertex or
+    to an alive partner; the layers are walked top-down, so each partner is
+    decided before its source.  Dead vertices get ``dist = inf``.  ``flat``
+    holds the admissible edges out of alive vertices into free vertices or
+    alive partners, in CSR order; left vertex u's are
+    ``flat[ptr[u]:ptr[u + 1]]``.
+
+    Why the DFS then augments along exactly the same paths:
+
+    * Within a phase ``dist`` only ever becomes ``inf``, and ``pair_r[v]``
+      changes only for a vertex v on an augmenting path.
+    * If v was a free end, its edges were kept anyway.
+    * Suppose v was an interior vertex, followed from a on layer L with its
+      old partner on layer L + 1; its new partner is a.  An edge u' -> v
+      then passes the DFS check only if u' is on layer L - 1, but then the
+      BFS would have placed v's old partner on layer <= L.
+    * So an edge that fails the check at the start of a phase never passes
+      it later in that phase, and by induction down the layers a vertex
+      that is dead at the start of a phase stays dead.  The full-list DFS
+      did nothing to such vertices except scan them and set ``dist = inf``.
+    """
+    nl = len(g.left)
+    alive = np.zeros(nl + 1, dtype=bool)
+    alive[nl] = True        # the free vertices' sentinel partner
+    kept = []
+    for ids, src, w in reversed(admissible):
+        go = np.take(alive, w)
+        alive[src[go]] = True
+        kept.append(ids[go])
+    dist[~alive[:nl]] = np.inf
+    ids = np.sort(np.concatenate(kept))
+    ptr = np.searchsorted(ids, g.indptr.astype(ids.dtype))
+    return dist.tolist(), ptr.tolist(), np.take(g.indices, ids)
 
 
 def max_matching(g: ConflictGraph) -> tuple[list, list]:
     """Hopcroft-Karp maximum matching.
 
     Returns (pair_left, pair_right) position arrays with -1 for unmatched.
-    Free vertices are processed in ascending position order and adjacency
+    Free vertices are processed in ascending position order and neighbour
     lists are ascending, so the result is deterministic.
     """
     return _hopcroft_karp(g)[:2]
@@ -152,10 +221,10 @@ def _hopcroft_karp(g: ConflictGraph) -> tuple[list, list, np.ndarray, np.ndarray
     INF = float("inf")
 
     def dfs(root: int) -> None:
-        # depth-first search kept on an explicit stack of (vertex, adjacency
+        # depth-first search kept on an explicit stack of (vertex, neighbour
         # iterator), so an augmenting path may outgrow the recursion limit;
         # via[i] is the right vertex leading from stack[i] to stack[i + 1]
-        stack = [(root, iter(g.adj[root]))]
+        stack = [(root, iter(flat[ptr[root]:ptr[root + 1]].tolist()))]
         via: list = []
         while stack:
             u, edges = stack[-1]
@@ -169,7 +238,7 @@ def _hopcroft_karp(g: ConflictGraph) -> tuple[list, list, np.ndarray, np.ndarray
                     return
                 if dist[w] == dist[u] + 1:
                     via.append(v)
-                    stack.append((w, iter(g.adj[w])))
+                    stack.append((w, iter(flat[ptr[w]:ptr[w + 1]].tolist())))
                     break
             else:
                 dist[u] = INF
@@ -178,13 +247,16 @@ def _hopcroft_karp(g: ConflictGraph) -> tuple[list, list, np.ndarray, np.ndarray
                     via.pop()
 
     while True:
-        layers, seen_r = _alternating_layers(g, pair_l, pair_r)
+        layers, admissible = _alternating_layers(g, pair_l, pair_r)
         # a phase augments only while some reached edge ends at a free vertex
-        if not np.any(np.array(pair_r)[seen_r] == -1):
+        if not any((w == nl).any() for _, _, w in admissible):
+            seen_r = np.zeros(nr, dtype=bool)
+            seen_r[np.take(g.indices, _row_edges(g.indptr, np.flatnonzero(layers < INF))[0])] = True
             return pair_l, pair_r, layers, seen_r
-        dist = layers.tolist()
+        dist, ptr, flat = _live_edges(g, layers, admissible)
         for u in range(nl):
-            if pair_l[u] == -1:
+            # a dead free root has dist inf and is skipped
+            if pair_l[u] == -1 and dist[u] == 0:
                 dfs(u)
 
 

@@ -13,6 +13,7 @@ from astute_np import (CERTIFIED_ASTUTE, FOUND, UNKNOWN, AttackBudget,
                        generate, grid_attack, histogram_attack,
                        nn1_attack_exact, predict, resolve_attack, run_attack,
                        train_histogram, train_kernel, train_knn)
+import astute_np.attack as attack_mod
 from astute_np.attack import _lattice
 
 import oracles
@@ -287,6 +288,38 @@ def test_nn1_no_opposite_label_certifies(path):
     assert radii[1:] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("path", ["nn1_attack_exact", "attack_all"])
+def test_nn1_coincident_opposite_labels(path):
+    """A -1 site at the place of a lower-index +1 point loses every tie to
+    it, so the model predicts +1 everywhere and x is certified; listed the
+    other way round, the -1 twin wins its ties and x is FOUND at 0.4.  The
+    LP oracle counts ties as reachable, so the verdicts are asserted
+    directly."""
+    x, budget = np.array([[0.9, 0.9]]), AttackBudget(0.5)
+    for labels, outcome in (([1, -1, 1], CERTIFIED_ASTUTE), ([-1, 1, 1], FOUND)):
+        model = train_knn(Dataset(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
+                                  np.array(labels)), k=1)
+        if path == "attack_all":
+            table = attack_all(model, Dataset(x, np.array([1])), budget, method="nn1")
+            got, radius, witness = table.outcome[0], table.radius[0], table.witness[0]
+        else:
+            res = nn1_attack_exact(model, x[0], 1, budget)
+            got, radius, witness = res.outcome, res.radius, res.witness
+        assert got == outcome
+        if outcome == FOUND:
+            assert radius == pytest.approx(0.4, abs=1e-9)
+            assert predict(model, witness) == -1
+
+
+def test_nn1_raises_when_no_witness_flips(monkeypatch):
+    # a solved region that no nudge can enter is an error, never a FOUND
+    ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1, -1]))
+    model = train_knn(ds, k=1)
+    monkeypatch.setattr(attack_mod, "predict", lambda model, x: 1)
+    with pytest.raises(RuntimeError, match="flips"):
+        nn1_attack_exact(model, [0.2, 0.0], 1, AttackBudget(0.5))
+
+
 def test_nn1_requires_k1_l2_2d():
     ds2 = _random_ds(1, n=10, d=2)
     ds3 = _random_ds(2, n=10, d=3)
@@ -428,6 +461,8 @@ def test_grid_radius_matches_oracle(d):
 
 def test_grid_lattice_is_read_only():
     offsets, ends = _lattice(2, 2)
+    # int32 offsets times a float64 resolution give the same float64 products
+    assert offsets.dtype == np.int32
     with pytest.raises(ValueError):
         offsets[0, 0] = 1
     with pytest.raises(ValueError):

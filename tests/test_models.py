@@ -140,8 +140,9 @@ def test_knn_by_label_is_the_cached_label_split():
     assert model.by_label is model.by_label
     assert set(model.by_label) == {1, -1}
     for y in (1, -1):
-        pts, sq = model.by_label[y]
+        pts, sq, index = model.by_label[y]
         expected = ds.points[ds.labels == y]
+        assert np.array_equal(index, np.flatnonzero(ds.labels == y))
         assert np.array_equal(pts, expected)
         assert np.array_equal(sq, (expected * expected).sum(axis=1))
 

@@ -1,11 +1,13 @@
 """Adversarial pruning: conflict graph, matching, maximum separated subset."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from astute_np import (LINF, ConflictGraph, Dataset, adv_prune,
-                       build_conflict_graph, max_matching, pairwise_distances,
-                       train_knn)
+from astute_np import (LINF, ConflictGraph, Dataset, RandomStream, ScenarioSpec,
+                       adv_prune, build_conflict_graph, generate, max_matching,
+                       pairwise_distances, train_knn)
 
 import oracles
 
@@ -59,6 +61,8 @@ def _dense_adj(ds, r, metric):
 
 def _assert_sweep_exact(ds, r, metric, oracle=True):
     g = build_conflict_graph(ds, r)
+    assert g.indices.dtype == np.int32
+    assert len(g.indptr) == len(g.left) + 1
     if (ds.labels == 1).any() and (ds.labels == -1).any():
         assert g.adj == _dense_adj(ds, r, metric)
     else:
@@ -181,7 +185,11 @@ def test_long_augmenting_path_does_not_recurse():
 
 
 def _graph(adj, nr):
-    return ConflictGraph(np.arange(len(adj)), np.arange(nr), adj)
+    """The graph with adjacency lists ``adj``, as the compressed rows
+    ``build_conflict_graph`` returns."""
+    indptr = np.cumsum([0] + [len(row) for row in adj])
+    indices = np.array([v for row in adj for v in row], dtype=np.int32)
+    return ConflictGraph(np.arange(len(adj)), np.arange(nr), indptr, indices)
 
 
 def _assert_matches_reference(g):
@@ -198,6 +206,28 @@ def test_matching_matches_reference_random(seed):
     _assert_matches_reference(_graph(adj, nr))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_matching_matches_reference_multi_layer(seed):
+    # sparse graphs with a few edges per vertex need several phases, and
+    # later phases augment along paths through matched vertices, which
+    # re-pairs them within the phase
+    rng = np.random.default_rng(700 + seed)
+    for density in (0.01, 0.03, 0.1, 0.3):
+        nl, nr = rng.integers(20, 300, 2)
+        p = min(density, 3.0 / nr) if seed % 2 else density
+        adj = [np.flatnonzero(rng.random(nr) < p).tolist() for _ in range(nl)]
+        _assert_matches_reference(_graph(adj, nr))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matching_matches_reference_shuffled_chain(seed):
+    # the chain's rows in random order: its augmenting paths run through
+    # many matched vertices, in an order the listing does not give away
+    ds = _chain(300)
+    ds = ds.subset(np.random.default_rng(seed).permutation(len(ds)))
+    _assert_matches_reference(build_conflict_graph(ds, 0.1))
+
+
 def test_matching_matches_reference_special_graphs():
     for nl, nr in ((0, 0), (0, 5), (5, 0)):
         g = _graph([[] for _ in range(nl)], nr)
@@ -212,6 +242,19 @@ def test_matching_matches_reference_on_data():
     _assert_matches_reference(build_conflict_graph(_chain(2000), 0.1))
     ds = _random_ds(13, n=1500, box=2.0)
     _assert_matches_reference(build_conflict_graph(ds, 0.1))
+
+
+def test_adv_prune_memory_is_bounded():
+    # overlapping half-moons: about 1.6 M conflict edges, which as Python
+    # adjacency lists alone would take about 58 MiB
+    ds = generate(ScenarioSpec("half_moons", 12000, sigma=0.3), RandomStream(7, 1))
+    tracemalloc.start()
+    try:
+        adv_prune(ds, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
