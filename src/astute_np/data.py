@@ -110,10 +110,13 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.points = np.ascontiguousarray(np.asarray(self.points, dtype=float))
+        # private read-only copies: models cache tables derived from these
+        # arrays, so neither the caller nor anyone else may edit them in place
+        self.points = np.array(self.points, dtype=float, order="C")
         if self.points.ndim == 1:
             self.points = self.points.reshape(-1, 1)
-        self.labels = np.asarray(self.labels, dtype=np.int8).reshape(-1)
+        self.labels = np.array(self.labels, dtype=np.int8).reshape(-1)
+        self.points.flags.writeable = self.labels.flags.writeable = False
         if self.points.shape[0] != self.labels.shape[0]:
             raise ValueError("points and labels length mismatch")
         if self.points.size and not np.all(np.isfinite(self.points)):

@@ -143,6 +143,9 @@ def train_kernel(ds: Dataset, kind: str = GAUSSIAN,
 
 @dataclass(frozen=True)
 class HistogramModel:
+    """A trained histogram: its leaves, and the split tree that finds them.
+    A lookup descends the tree, O(depth * d) per query at any leaf count."""
+
     train: Dataset
     root_lo: np.ndarray
     root_side: float
@@ -158,6 +161,13 @@ class HistogramModel:
     leaf_label: np.ndarray = field(repr=False, default=None)
     leaf_count: np.ndarray = field(repr=False, default=None)
     leaf_members: list = field(repr=False, default=None)
+    # split tree, node 0 the root: each node's ``mid`` and 2^d children (child
+    # c where x >= mid in the coordinates of c's set bits; a leaf's children
+    # are itself), and its leaf id or -1; depth is the deepest leaf's level
+    node_mid: np.ndarray = field(repr=False, default=None)
+    node_child: np.ndarray = field(repr=False, default=None)
+    node_leaf: np.ndarray = field(repr=False, default=None)
+    depth: int = 0
 
     @property
     def n(self) -> int:
@@ -166,25 +176,20 @@ class HistogramModel:
     def leaf_index(self, queries: np.ndarray) -> np.ndarray:
         """Leaf containing each query row, or -1 outside the root cell.
 
-        A row lies in leaf i iff leaf_lo[i] <= x < leaf_hi[i] in every
-        coordinate; the boxes partition the root, so at most one matches.
+        All rows descend the split tree together, ``depth`` steps of
+        ``node = node_child[node, code(x >= node_mid[node])]``: the test that
+        training split on, so a row inside the root reaches the leaf whose
+        box [leaf_lo, leaf_hi) holds it.  Rows outside the root, NaN ones
+        included, map to -1.  O(depth * d) per row, no per-leaf work.
         """
         queries = as_queries(self, queries)
-        lo, hi = np.ascontiguousarray(self.leaf_lo.T), np.ascontiguousarray(self.leaf_hi.T)
-        d, leaves = lo.shape
-        out = np.full(len(queries), -1, dtype=np.intp)
-        # rows x leaves booleans per block
-        for rows in row_blocks(len(queries), leaves):
-            block = queries[rows]
-            inside = np.ones((len(block), leaves), dtype=bool)
-            for j in range(d):
-                col = block[:, j:j + 1]
-                inside &= lo[j] <= col
-                inside &= col < hi[j]
-            first = inside.argmax(axis=1)
-            hit = inside[np.arange(len(block)), first]
-            out[rows][hit] = first[hit]
-        return out
+        code_weight = 1 << np.arange(queries.shape[1])
+        node = np.zeros(len(queries), dtype=np.intp)
+        for _ in range(self.depth):
+            node = self.node_child[node, (queries >= self.node_mid[node]) @ code_weight]
+        inside = np.all((self.root_lo <= queries)
+                        & (queries < self.root_lo + self.root_side), axis=1)
+        return np.where(inside, self.node_leaf[node], -1)
 
     @cached_property
     def regions(self) -> dict:
@@ -224,7 +229,10 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
     coincident or its side underflows, which keeps duplicated points (point
     masses) from splitting forever.  Leaves are numbered in depth-first
     order, children in ascending order of their bit code (bit j set for the
-    upper half in coordinate j).
+    upper half in coordinate j).  The split tree is kept as well (each
+    node's split point and children, each leaf node's leaf id, the depth),
+    so ``leaf_index`` finds a query's leaf in O(depth * d) steps instead of
+    testing every leaf box.
     """
     if len(ds) == 0:
         raise ValueError("empty training set")
@@ -251,20 +259,35 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
 
     leaf_lo, leaf_hi, leaf_side = [], [], []
     leaf_vote, leaf_count, leaf_members = [], [], []
+    node_mid, node_child, node_leaf = [], [], []
+    depth = 0
 
     # bit j of child code c: the child is the upper half in coordinate j
     code_bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1 == 1
-    # explicit depth-first stack of (lo, hi, side, member indices); children
-    # are pushed in reverse so they pop in ascending code order
-    stack = [(lo.copy(), lo + side, side, np.arange(len(ds)))]
+    push_order = list(enumerate(code_bits))[::-1]
+    # explicit depth-first stack of (parent node, child code, depth, lo, hi,
+    # side, member indices); children are pushed in reverse so they pop in
+    # ascending code order, and nodes are numbered in pop order
+    stack = [(-1, 0, 0, lo.copy(), lo + side, side, np.arange(len(ds)))]
     while stack:
-        clo, chi, cside, idx = stack.pop()
+        parent, code, level, clo, chi, cside, idx = stack.pop()
+        node = len(node_leaf)
+        if parent >= 0:
+            node_child[parent][code] = node
+        depth = max(depth, level)
         sub = pts[idx]
         splittable = (
             len(idx) > kn
             and cside > 1e-12
             and float(np.max(sub.max(axis=0) - sub.min(axis=0))) > 0.0
         )
+        half = cside / 2.0
+        # the children's boxes meet exactly at this float value, which both
+        # the split and every later lookup compare against
+        mid = clo + half
+        node_mid.append(mid)
+        node_child.append([0 if splittable else node] * (1 << d))
+        node_leaf.append(-1 if splittable else len(leaf_lo))
         if not splittable:
             leaf_lo.append(clo)
             leaf_hi.append(chi)
@@ -273,14 +296,10 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
             leaf_count.append(len(idx))
             leaf_members.append(idx)
             continue
-        half = cside / 2.0
-        # the children's boxes meet exactly at this float value, which both
-        # the split and every later lookup compare against
-        mid = clo + half
         upper = sub >= mid
-        stack.extend((np.where(bits, mid, clo), np.where(bits, chi, mid), half,
-                      idx[np.all(upper == bits, axis=1)])
-                     for bits in code_bits[::-1])
+        stack.extend((node, c, level + 1, np.where(bits, mid, clo), np.where(bits, chi, mid),
+                      half, idx[np.all(upper == bits, axis=1)])
+                     for c, bits in push_order)
 
     leaf_vote = np.array(leaf_vote)
     return HistogramModel(
@@ -289,6 +308,8 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
         leaf_side=np.array(leaf_side), leaf_vote=leaf_vote,
         leaf_label=np.where(leaf_vote > 0, 1, -1).astype(np.int8),
         leaf_count=np.array(leaf_count), leaf_members=leaf_members,
+        node_mid=np.array(node_mid), node_child=np.array(node_child, dtype=np.intp),
+        node_leaf=np.array(node_leaf, dtype=np.intp), depth=depth,
     )
 
 

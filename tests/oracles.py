@@ -259,30 +259,34 @@ def nn1_attack_radius(points, labels, x, y: int) -> float:
     return best
 
 
-def histogram_walk_leaf(model, x) -> int:
-    """Leaf id of x found by descending the split tree, or -1 outside the
-    root.
+def histogram_walk_leaves(model, queries) -> list:
+    """Leaf id of each query row found by descending the split tree, or -1
+    outside the root (non-finite rows included).
 
-    Starts from ``root_lo`` / ``root_side`` and halves the cell, moving to
-    the upper half in coordinate j when x[j] >= lo[j] + half, until the
-    cell's (lo, side) is a stored leaf.  Reads neither ``leaf_hi`` nor the
-    library's lookup.
+    Starts each row from ``root_lo`` / ``root_side`` and halves the cell,
+    moving to the upper half in coordinate j when x[j] >= lo[j] + half,
+    until the cell's (lo, side) is a stored leaf.  Reads neither ``leaf_hi``
+    nor the library's lookup.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    lo = np.array(model.root_lo, dtype=float)
-    side = float(model.root_side)
-    if np.any(x < lo) or np.any(x >= lo + side):
-        return -1
     leaves = {(tuple(l), float(s)): i
               for i, (l, s) in enumerate(zip(model.leaf_lo, model.leaf_side))}
     assert len(leaves) == len(model.leaf_lo), "two leaves share (lo, side)"
-    while (tuple(lo), side) not in leaves:
-        half = side / 2.0
-        for j in range(len(x)):
-            if x[j] >= lo[j] + half:
-                lo[j] = lo[j] + half
-        side = half
-    return leaves[(tuple(lo), side)]
+    out = []
+    for x in np.asarray(queries, dtype=float):
+        lo = np.array(model.root_lo, dtype=float)
+        side = float(model.root_side)
+        # asked as "all inside" so that a NaN coordinate is outside
+        if not (np.all(lo <= x) and np.all(x < lo + side)):
+            out.append(-1)
+            continue
+        while (tuple(lo), side) not in leaves:
+            half = side / 2.0
+            for j in range(len(x)):
+                if x[j] >= lo[j] + half:
+                    lo[j] = lo[j] + half
+            side = half
+        out.append(leaves[(tuple(lo), side)])
+    return out
 
 
 def grid_misprediction_radius(predict_fn, x, y: int, r: float, resolution: float):

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astute_np import (GAUSSIAN, INVERSE_POLY, PLATEAU_EXAMPLE3,
-                       Dataset, RandomStream, ScenarioSpec,
+from astute_np import (CERTIFIED_ASTUTE, GAUSSIAN, INVERSE_POLY, PLATEAU_EXAMPLE3,
+                       AttackBudget, Dataset, RandomStream, ScenarioSpec,
                        default_bandwidth, default_cell_threshold, generate,
-                       make_model, predict, predict_batch, train_histogram,
+                       make_model, predict, predict_batch, run_attack, train_histogram,
                        train_kernel, train_knn, weights, weights_batch)
 from astute_np.data import row_blocks
 from astute_np.models import log_kernel
@@ -145,6 +145,24 @@ def test_knn_by_label_is_the_cached_label_split():
         assert np.array_equal(index, np.flatnonzero(ds.labels == y))
         assert np.array_equal(pts, expected)
         assert np.array_equal(sq, (expected * expected).sum(axis=1))
+
+
+def test_dataset_arrays_are_read_only_copies():
+    pts, labels = np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1, -1])
+    ds = Dataset(pts, labels)
+    model = train_knn(ds, k=1)
+    model.by_label
+    # moving the -1 point to (0.1, 0) in place would leave the cached
+    # tables stale, and the model would still certify x = (0.05, 0)
+    with pytest.raises(ValueError):
+        ds.points[1] = [0.1, 0.0]
+    with pytest.raises(ValueError):
+        ds.labels[0] = -1
+    # the caller's own arrays stay writeable and are not shared
+    pts[1], labels[0] = [0.1, 0.0], -1
+    assert ds.points.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    assert ds.labels.tolist() == [1, -1]
+    assert run_attack(model, [0.05, 0.0], 1, AttackBudget(0.1)).outcome == CERTIFIED_ASTUTE
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +337,35 @@ def _leaf_lookup_queries(model, rng):
                            np.nextafter(corners, np.inf)])
 
 
+def _leaf_path(model, i):
+    """Child codes from the root down to leaf i, read off its lo corner."""
+    x, lo, side = model.leaf_lo[i], model.root_lo.copy(), float(model.root_side)
+    path = []
+    while side > model.leaf_side[i]:
+        half = side / 2.0
+        upper = x >= lo + half
+        path.append(int(upper @ (1 << np.arange(len(x)))))
+        lo, side = np.where(upper, lo + half, lo), half
+    return path
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_histogram_leaves_numbered_depth_first(d):
+    # depth-first, children in ascending code order: the leaves' paths sort
+    model = train_histogram(_random_ds(70 + d, n=150, d=d), kn=3)
+    paths = [_leaf_path(model, i) for i in range(len(model.leaf_lo))]
+    assert max(map(len, paths)) == model.depth > 1
+    assert paths == sorted(paths)
+
+
+def _assert_leaf_index_matches_tree_walk(model, queries):
+    walked = oracles.histogram_walk_leaves(model, queries)
+    assert model.leaf_index(queries).tolist() == walked
+    assert np.array_equal(predict_batch(model, queries),
+                          [1 if leaf >= 0 and model.leaf_vote[leaf] > 0 else -1
+                           for leaf in walked])
+
+
 @pytest.mark.parametrize("origin", [0.0, 1e6])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_histogram_leaf_index_matches_tree_walk(d, origin):
@@ -328,12 +375,45 @@ def test_histogram_leaf_index_matches_tree_walk(d, origin):
     ds = Dataset(pts, np.where(rng.random(300) < 0.5, 1, -1))
     model = train_histogram(ds, kn=4, root=(root_lo, side))
     assert len(model.leaf_vote) > 2 ** d
-    queries = _leaf_lookup_queries(model, rng)
-    walked = [oracles.histogram_walk_leaf(model, q) for q in queries]
-    assert model.leaf_index(queries).tolist() == walked
-    assert np.array_equal(predict_batch(model, queries),
-                          [1 if leaf >= 0 and model.leaf_vote[leaf] > 0 else -1
-                           for leaf in walked])
+    _assert_leaf_index_matches_tree_walk(model, _leaf_lookup_queries(model, rng))
+
+
+@pytest.mark.parametrize("kind, kn, min_depth", [
+    ("example1", 1, 15), ("example2", 1, 15),   # deep trees
+    ("example3", 1, 1),                         # coincident point masses
+    ("half_moons", None, 5)])
+def test_histogram_leaf_index_matches_tree_walk_on_scenarios(kind, kn, min_depth):
+    ds = generate(ScenarioSpec(kind, 400, sigma=0.08 if kind == "half_moons" else 0.0),
+                  RandomStream(7, 0))
+    model = train_histogram(ds, kn=kn)
+    assert model.depth >= min_depth
+    queries = _leaf_lookup_queries(model, np.random.default_rng(8))
+    _assert_leaf_index_matches_tree_walk(model, np.concatenate([queries, ds.points]))
+
+
+def test_histogram_leaf_index_on_a_root_leaf():
+    ds = _random_ds(9, n=5)
+    model = train_histogram(ds, kn=5)
+    assert model.depth == 0 and len(model.leaf_vote) == 1
+    _assert_leaf_index_matches_tree_walk(
+        model, _leaf_lookup_queries(model, np.random.default_rng(10)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_histogram_non_finite_queries_are_outside(d):
+    model = train_histogram(_random_ds(50 + d, n=200, d=d), kn=2)
+    inside = model.root_lo + model.root_side / 3
+    queries = []
+    for value in (np.nan, np.inf, -np.inf):
+        queries.append(np.full(d, value))
+        for j in range(d):
+            q = inside.copy()
+            q[j] = value
+            queries.append(q)
+    queries = np.array(queries)
+    assert model.leaf_index(queries).tolist() == [-1] * len(queries)
+    assert predict_batch(model, queries).tolist() == [-1] * len(queries)
+    assert oracles.histogram_walk_leaves(model, queries) == [-1] * len(queries)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
