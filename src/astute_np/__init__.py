@@ -17,8 +17,7 @@ from .prune import (ConflictGraph, PrunedSet, adv_prune, build_conflict_graph,
                     max_matching)
 from .attack import (CERTIFIED_ASTUTE, FOUND, UNKNOWN, AttackBudget,
                      AttackMethodError, AttackResult, AttackTable,
-                     CostGuardError, attack_all, grid_attack,
-                     histogram_attack, nn1_attack_exact, resolve_attack,
+                     CostGuardError, attack_all, grid_attack, resolve_attack,
                      run_attack)
 from .evaluation import (DEFAULT_SIZES, BayesGapReport, EvalReport,
                          ProbeConfig, ProbeResult, SweepConfig, SweepResult,
@@ -40,8 +39,7 @@ __all__ = [
     "max_matching",
     "CERTIFIED_ASTUTE", "FOUND", "UNKNOWN", "AttackBudget",
     "AttackMethodError", "AttackResult", "AttackTable", "CostGuardError",
-    "attack_all", "grid_attack", "histogram_attack", "nn1_attack_exact",
-    "resolve_attack", "run_attack",
+    "attack_all", "grid_attack", "resolve_attack", "run_attack",
     "DEFAULT_SIZES", "BayesGapReport", "EvalReport", "ProbeConfig",
     "ProbeResult", "SweepConfig", "SweepResult", "accuracy", "bayes_gap_demo",
     "convergence_sweep", "empirical_astuteness", "probe_far_weight",

@@ -76,30 +76,25 @@ class AttackResult:
         return self.outcome == FOUND
 
 
-def _finite_query(model, x) -> np.ndarray:
-    """x as one finite query row in the model's dimension; ValueError
-    otherwise, before any attack can read a NaN as a verdict."""
-    x = as_queries(model, np.ravel(x))[0]
-    if not np.isfinite(x).all():
-        raise ValueError("query must be finite")
-    return x
-
-
 # ---------------------------------------------------------------------------
+# Each method is one row (model, x, y, prediction, budget, resolution) ->
+# AttackResult of ``_ATTACKS``.  Its callers pass a finite x in the model's
+# dimension, y in {+1, -1} and the model's label at x as ``prediction``.
+#
 # histogram attack
 
 
-def histogram_attack(model: HistogramModel, x, y: int, budget: AttackBudget) -> AttackResult:
+def _attack_histogram(model: HistogramModel, x: np.ndarray, y: int, prediction,
+                      budget: AttackBudget, resolution: float) -> AttackResult:
     """Exact minimal l-inf adversarial radius against a histogram.
 
     Scans every box of ``model.regions[-y]``, the region the model labels
     -y; for y = +1 that includes the exterior of the root cube.  The
     returned radius is the exact infimum, and ties go to the first nearest
     box in ``regions`` order.  The witness is nudged just inside the open
-    faces so that it actually misclassifies.  ``x`` must be finite.
+    faces so that it actually misclassifies.  ``prediction`` is not read:
+    the half-open box test below detects a mispredicted x by itself.
     """
-    resolve_attack(model, "histogram")
-    x = _finite_query(model, x)
     lo, hi = model.regions[-y]
     if len(lo) == 0:
         return AttackResult(CERTIFIED_ASTUTE)
@@ -220,7 +215,8 @@ def _loses_every_tie(z: np.ndarray, z_index: int, same_pts: np.ndarray,
                                        & (same_pts[at] == z).all(axis=1)))
 
 
-def nn1_attack_exact(model: KnnModel, x, y: int, budget: AttackBudget) -> AttackResult:
+def _attack_nn1(model: KnnModel, x: np.ndarray, y: int, prediction: int,
+                budget: AttackBudget, resolution: float) -> AttackResult:
     """Exact minimal l-inf adversarial radius against 2-D 1-NN.
 
     Branch and bound over opposite-label training points ordered by a cheap
@@ -228,17 +224,8 @@ def nn1_attack_exact(model: KnnModel, x, y: int, budget: AttackBudget) -> Attack
     solved exactly.  The reported radius is the true minimum, up to the
     solver's absolute tolerances, whenever it is within budget; otherwise
     the point is certified astute.  Raises RuntimeError when the coordinates
-    are too large for those tolerances.  ``x`` must be finite.
+    are too large for those tolerances.
     """
-    resolve_attack(model, "nn1")
-    x = _finite_query(model, x)
-    return _nn1_attack(model, x, y, predict(model, x), budget)
-
-
-def _nn1_attack(model: KnnModel, x: np.ndarray, y: int, prediction: int,
-                budget: AttackBudget) -> AttackResult:
-    """``nn1_attack_exact`` for a finite x that the model predicts as
-    ``prediction``."""
     if prediction != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
 
@@ -311,7 +298,8 @@ def _lattice(steps: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, ends
 
 
-def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float) -> AttackResult:
+def _attack_grid(model, x: np.ndarray, y: int, prediction: int, budget: AttackBudget,
+                 resolution: float) -> AttackResult:
     """Scan the l-inf ball on a regular grid, nearest shells first.
 
     FOUND on the first misprediction in (shell radius, lexicographic) order,
@@ -319,7 +307,6 @@ def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float) -> At
     never certify astuteness.  Scans whose point count would exceed
     ``_GRID_MAX_POINTS`` raise CostGuardError instead of running forever.
     """
-    x = _finite_query(model, x)
     d = x.shape[0]
     if not 0 < resolution <= budget.r:
         raise ValueError("resolution must lie in (0, r]")
@@ -330,7 +317,7 @@ def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float) -> At
             f"grid of {total} points exceeds cap {_GRID_MAX_POINTS}; "
             "coarsen the resolution")
 
-    if predict(model, x) != y:
+    if prediction != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
 
     offsets, ends = _lattice(steps, d)
@@ -342,6 +329,9 @@ def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float) -> At
             w = queries[hits[0]]
             return AttackResult(FOUND, witness=w, radius=float(np.max(np.abs(w - x))))
     return AttackResult(UNKNOWN)
+
+
+_ATTACKS = {"histogram": _attack_histogram, "nn1": _attack_nn1, "grid": _attack_grid}
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +363,24 @@ def resolve_attack(model, method: str = "auto") -> tuple[str, bool]:
 def run_attack(model, x, y: int, budget: AttackBudget, method: str = "auto",
                resolution: float = 1e-3) -> AttackResult:
     """Attack one point with the method ``resolve_attack`` picks.  Every
-    attack reports a misprediction at x as FOUND at radius 0."""
+    attack reports a misprediction at x as FOUND at radius 0.  A label
+    other than +1 or -1, or an x that is not one finite point in the
+    model's dimension, raises ValueError before any attack runs."""
     method, _ = resolve_attack(model, method)
-    if method == "histogram":
-        return histogram_attack(model, x, y, budget)
-    if method == "nn1":
-        return nn1_attack_exact(model, x, y, budget)
-    return grid_attack(model, x, y, budget, resolution)
+    if y not in (1, -1):
+        raise ValueError(f"label must be +1 or -1, got {y!r}")
+    x = as_queries(model, np.ravel(x))[0]
+    if not np.isfinite(x).all():
+        raise ValueError("query must be finite")
+    # the histogram row never reads the prediction, and a histogram predict
+    # costs more than the whole attack
+    prediction = None if method == "histogram" else predict(model, x)
+    return _ATTACKS[method](model, x, y, prediction, budget, resolution)
+
+
+def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float) -> AttackResult:
+    """``run_attack`` with the grid oracle."""
+    return run_attack(model, x, y, budget, "grid", resolution)
 
 
 @dataclass(frozen=True)
@@ -409,20 +410,15 @@ def attack_all(model, test: Dataset, budget: AttackBudget, method: str = "auto",
     collapses to a handful of distinct points.
     """
     resolved, approximate = resolve_attack(model, method)
+    # every family votes row by row, so the batch prediction is the one
+    # predict(x) would make
     prediction = predict_batch(model, test.points)
-
-    def attack(i: int) -> AttackResult:
-        x, y = test.points[i], int(test.labels[i])
-        if resolved == "nn1":
-            # a k-NN vote is an integer sum, so the batch prediction is the
-            # one predict(x) would make
-            return _nn1_attack(model, x, y, int(prediction[i]), budget)
-        return run_attack(model, x, y, budget, method=resolved, resolution=resolution)
-
+    attack = _ATTACKS[resolved]
     keyed = np.concatenate([test.points, test.labels[:, None].astype(float)], axis=1)
     _, first, inverse = np.unique(keyed, axis=0, return_index=True, return_inverse=True)
     inverse = inverse.reshape(-1)       # numpy 2.0.0 returns it as (n, 1)
-    results = [attack(i) for i in first]
+    results = [attack(model, test.points[i], int(test.labels[i]), int(prediction[i]),
+                      budget, resolution) for i in first]
     nowhere = np.full(test.dim, np.nan)
     return AttackTable(
         method=resolved, approximate=approximate, prediction=prediction,

@@ -107,7 +107,7 @@ class SweepConfig:
         require_positive("attack_r", self.attack_r)
         if self.kn is not None:
             _require_count("kn", self.kn)
-        # resolution <= attack_r is checked by grid_attack, the one method
+        # resolution <= attack_r is checked by the grid attack, the one method
         # that reads resolution
         require_positive("resolution", self.resolution)
 
@@ -204,9 +204,10 @@ class ProbeConfig:
 
     def __post_init__(self):
         scenario = _check_shared(self)
-        if self.fixed_x is not None and len(self.fixed_x) != scenario.dim:
-            raise ValueError(f"fixed_x must have {scenario.dim} coordinates for "
-                             f"scenario {self.scenario!r}")
+        if self.fixed_x is not None and (len(self.fixed_x) != scenario.dim
+                                         or not np.isfinite(self.fixed_x).all()):
+            raise ValueError(f"fixed_x must have {scenario.dim} finite coordinates "
+                             f"for scenario {self.scenario!r}")
         if not 0 < self.a < self.b:
             raise ValueError("need 0 < a < b")
         _require_count("draws", self.draws)

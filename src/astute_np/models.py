@@ -393,6 +393,8 @@ def predict_batch(model, queries: np.ndarray) -> np.ndarray:
     if isinstance(model, HistogramModel):
         leaves = model.leaf_index(queries)
         return np.where(leaves >= 0, model.leaf_label[leaves], -1).astype(np.int8)
-    w = weights_batch(model, queries)
-    votes = w @ model.train.labels.astype(float)
+    # an elementwise product summed along each row reduces every row in the
+    # same order whatever the batch size; a matrix product does not, and a
+    # true tie of 0 would then read as +-1e-18
+    votes = (weights_batch(model, queries) * model.train.labels).sum(axis=1)
     return np.where(votes > 0, 1, -1).astype(np.int8)

@@ -37,11 +37,6 @@ class ConflictGraph:
     indptr: np.ndarray
     indices: np.ndarray
 
-    @property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)``."""
-        return self.indptr, self.indices
-
     @cached_property
     def adj(self) -> list:
         """The rows as Python lists, built on first read; the library itself
@@ -138,7 +133,7 @@ def _alternating_layers(g: ConflictGraph, pair_l, pair_r) -> tuple[np.ndarray, l
     vertex that is never placed.  A whole layer is expanded at once; layer
     numbers do not depend on the order vertices are visited in.
     """
-    indptr, indices = g.csr
+    indptr, indices = g.indptr, g.indices
     nl = len(g.left)
     partner = np.asarray(pair_r, dtype=np.int32)
     partner[partner < 0] = nl

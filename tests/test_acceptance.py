@@ -18,8 +18,7 @@ from astute_np import (CERTIFIED_ASTUTE, PLATEAU_EXAMPLE3, AttackBudget,
                        Dataset, ProbeConfig, RandomStream,
                        ScenarioSpec, SweepConfig, accuracy, adv_prune,
                        bayes_gap_demo, convergence_sweep, empirical_astuteness,
-                       generate, grid_attack, histogram_attack,
-                       nn1_attack_exact, predict, probe_far_weight,
+                       generate, grid_attack, predict, probe_far_weight,
                        run_attack, sweep_chart, train_histogram, train_kernel,
                        train_knn, weights)
 
@@ -117,7 +116,7 @@ def test_criterion_05_interval_histogram_astuteness():
         model = train_histogram(train, root=root)
         astute = 0
         for x, y in zip(test.points, test.labels):
-            res = histogram_attack(model, x, int(y), budget)
+            res = run_attack(model, x, int(y), budget, "histogram")
             if predict(model, x) == y and not res.found:
                 astute += 1
             elif y == 1:
@@ -196,18 +195,18 @@ def test_criterion_09_exact_attacks_match_grid_oracle():
     for i in range(100):
         pts, labels = oracles.random_two_class(rng, 30, 2)
         model = train_knn(Dataset(pts, labels), k=1)
-        cases.append((model, nn1_attack_exact))
+        cases.append((model, "nn1"))
     for i in range(50):
         pts, labels = oracles.random_two_class(rng, 40, 2)
         model = train_histogram(Dataset(pts, labels))
-        cases.append((model, histogram_attack))
+        cases.append((model, "histogram"))
 
     disagreements = 0
     contradictions = 0
-    for model, attack_fn in cases:
+    for model, method in cases:
         x = rng.uniform(0.05, 0.95, 2)
         y = predict(model, x)
-        res = attack_fn(model, x, y, budget)
+        res = run_attack(model, x, y, budget, method)
         grid = grid_attack(model, x, y, budget, resolution=step)
         if res.outcome == CERTIFIED_ASTUTE:
             if grid.found:

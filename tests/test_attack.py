@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from astute_np import (CERTIFIED_ASTUTE, FOUND, UNKNOWN, AttackBudget,
                        AttackMethodError, CostGuardError, Dataset,
                        RandomStream, ScenarioSpec, adv_prune, attack_all,
-                       generate, grid_attack, histogram_attack,
-                       nn1_attack_exact, predict, resolve_attack, run_attack,
-                       train_histogram, train_kernel, train_knn)
+                       generate, grid_attack, predict, resolve_attack,
+                       run_attack, train_histogram, train_kernel, train_knn)
 import astute_np.attack as attack_mod
 from astute_np.attack import _lattice
 
@@ -102,7 +101,7 @@ def _example2_model(n=4000, seed=0):
 
 def test_histogram_attack_reaches_empty_cell():
     model = _example2_model()
-    res = histogram_attack(model, [0.2], 1, AttackBudget(0.1))
+    res = run_attack(model, [0.2], 1, AttackBudget(0.1), "histogram")
     assert res.found
     # nearest opposite region is the empty quarter cell starting at 0.25
     assert res.radius == pytest.approx(0.05, abs=1e-12)
@@ -112,7 +111,7 @@ def test_histogram_attack_reaches_empty_cell():
 
 def test_histogram_attack_certifies_out_of_reach():
     model = _example2_model()
-    res = histogram_attack(model, [0.2], 1, AttackBudget(0.04))
+    res = run_attack(model, [0.2], 1, AttackBudget(0.04), "histogram")
     assert res.outcome == CERTIFIED_ASTUTE
     assert res.witness is None and res.radius is None
 
@@ -121,7 +120,7 @@ def test_histogram_exterior_low_face():
     # all-positive data: the only -1 region is outside the root cube
     ds = Dataset(np.array([[0.1], [0.9]]), np.array([1, 1]))
     model = train_histogram(ds, root=(np.array([0.0]), 1.0))
-    res = histogram_attack(model, [0.1], 1, AttackBudget(0.1))
+    res = run_attack(model, [0.1], 1, AttackBudget(0.1), "histogram")
     assert res.found
     assert res.radius == pytest.approx(0.1, abs=0.0)
     assert res.witness[0] < 0.0
@@ -131,7 +130,7 @@ def test_histogram_exterior_low_face():
 def test_histogram_exterior_high_face_attained_exactly():
     ds = Dataset(np.array([[0.1], [0.9]]), np.array([1, 1]))
     model = train_histogram(ds, root=(np.array([0.0]), 1.0))
-    res = histogram_attack(model, [0.9], 1, AttackBudget(0.1))
+    res = run_attack(model, [0.9], 1, AttackBudget(0.1), "histogram")
     assert res.found
     # half-open cells: the high root face itself is already outside
     assert res.radius == pytest.approx(0.1, abs=1e-12)
@@ -142,7 +141,7 @@ def test_histogram_exterior_high_face_attained_exactly():
 def test_histogram_exterior_boundary_certifies_just_under():
     ds = Dataset(np.array([[0.1], [0.9]]), np.array([1, 1]))
     model = train_histogram(ds, root=(np.array([0.0]), 1.0))
-    res = histogram_attack(model, [0.5], 1, AttackBudget(0.3))
+    res = run_attack(model, [0.5], 1, AttackBudget(0.3), "histogram")
     assert res.outcome == CERTIFIED_ASTUTE
 
 
@@ -152,7 +151,7 @@ def test_histogram_exterior_not_a_target_for_negative_label():
     ds = generate(ScenarioSpec("example2", 4000), RandomStream(0, 0))
     model = train_histogram(ds, root=(np.array([0.0]), 1.0))
     assert predict(model, [0.97]) == -1
-    res = histogram_attack(model, [0.97], -1, AttackBudget(0.1))
+    res = run_attack(model, [0.97], -1, AttackBudget(0.1), "histogram")
     assert res.outcome == CERTIFIED_ASTUTE
 
 
@@ -165,7 +164,7 @@ def test_histogram_witness_invariants_random():
         for _ in range(10):
             x = rng.uniform(0.05, 0.95, 2)
             y = predict(model, x)
-            res = histogram_attack(model, x, y, budget)
+            res = run_attack(model, x, y, budget, "histogram")
             if res.found:
                 _check_witness(model, res, x, y, budget, slack=1e-9)
 
@@ -181,7 +180,7 @@ def test_histogram_zero_radius_iff_mispredicted_on_cell_faces():
     for x in np.concatenate([corners, np.nextafter(corners, -np.inf),
                              np.nextafter(corners, np.inf)]):
         for y in (1, -1):
-            res = histogram_attack(model, x, y, budget)
+            res = run_attack(model, x, y, budget, "histogram")
             at_x = res.found and res.radius == 0.0 and np.array_equal(res.witness, x)
             assert at_x == (predict(model, x) != y)
             if res.found:
@@ -195,7 +194,7 @@ def test_histogram_found_monotone_in_r():
         prev_found = False
         radii = []
         for r in (0.02, 0.05, 0.1, 0.2, 0.4):
-            res = histogram_attack(model, x, int(y), AttackBudget(r))
+            res = run_attack(model, x, int(y), AttackBudget(r), "histogram")
             assert res.found or not prev_found or r < max(radii, default=0)
             if prev_found:
                 assert res.found
@@ -216,7 +215,7 @@ def test_histogram_attack_matches_brute_force_radius(d):
         model = train_histogram(ds, kn=int(rng.integers(1, 6)), root=root)
         for x in rng.uniform(-0.4, 1.4, (40, d)):
             for y in (1, -1):
-                res = histogram_attack(model, x, y, budget)
+                res = run_attack(model, x, y, budget, "histogram")
                 want = oracles.histogram_attack_radius(model, x, y)
                 assert res.found == (want <= budget.r + budget.tol)
                 if res.found:
@@ -226,7 +225,7 @@ def test_histogram_attack_matches_brute_force_radius(d):
 def test_histogram_tie_low_face_before_high_face():
     ds = Dataset(np.array([[0.1], [0.9]]), np.array([1, 1]))
     model = train_histogram(ds, root=(np.array([0.0]), 1.0))
-    res = histogram_attack(model, [0.5], 1, AttackBudget(0.5))
+    res = run_attack(model, [0.5], 1, AttackBudget(0.5), "histogram")
     assert res.found and res.radius == 0.5
     assert res.witness[0] < 0.0
 
@@ -235,7 +234,7 @@ def test_histogram_tie_leaf_before_exterior():
     # the -1 leaf [0.5, 1) and the exterior below 0 are both 0.25 away
     ds = Dataset(np.array([[0.3], [0.8]]), np.array([1, -1]))
     model = train_histogram(ds, kn=1, root=(np.array([0.0]), 1.0))
-    res = histogram_attack(model, [0.25], 1, AttackBudget(0.3))
+    res = run_attack(model, [0.25], 1, AttackBudget(0.3), "histogram")
     assert res.found and res.radius == 0.25
     assert res.witness[0] == 0.5
 
@@ -244,7 +243,7 @@ def test_histogram_attack_rejects_non_finite_query():
     model = _example2_model(n=200)
     for x in ([np.inf], [-np.inf], [np.nan]):
         with pytest.raises(ValueError, match="finite"):
-            histogram_attack(model, x, 1, AttackBudget(0.1))
+            run_attack(model, x, 1, AttackBudget(0.1), "histogram")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def test_histogram_attack_rejects_non_finite_query():
 def test_nn1_two_point_bisector():
     ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1, -1]))
     model = train_knn(ds, k=1)
-    res = nn1_attack_exact(model, [0.2, 0.0], 1, AttackBudget(0.5))
+    res = run_attack(model, [0.2, 0.0], 1, AttackBudget(0.5), "nn1")
     assert res.found
     assert res.radius == pytest.approx(0.3, abs=1e-12)
     assert res.witness[0] == pytest.approx(0.5, abs=1e-4)
@@ -265,11 +264,11 @@ def test_nn1_two_point_bisector():
 def test_nn1_certifies_below_bisector_distance():
     ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1, -1]))
     model = train_knn(ds, k=1)
-    res = nn1_attack_exact(model, [0.2, 0.0], 1, AttackBudget(0.2))
+    res = run_attack(model, [0.2, 0.0], 1, AttackBudget(0.2), "nn1")
     assert res.outcome == CERTIFIED_ASTUTE
 
 
-@pytest.mark.parametrize("path", ["nn1_attack_exact", "attack_all"])
+@pytest.mark.parametrize("path", ["run_attack", "attack_all"])
 def test_nn1_no_opposite_label_certifies(path):
     """With no -1 training point, every y = +1 point is certified and every
     y = -1 point is FOUND where it stands."""
@@ -281,14 +280,14 @@ def test_nn1_no_opposite_label_certifies(path):
         table = attack_all(model, test, budget, method="nn1")
         outcomes, radii = list(table.outcome), list(table.radius)
     else:
-        results = [nn1_attack_exact(model, x, int(y), budget)
+        results = [run_attack(model, x, int(y), budget, "nn1")
                    for x, y in zip(test.points, test.labels)]
         outcomes, radii = [r.outcome for r in results], [r.radius for r in results]
     assert outcomes == [CERTIFIED_ASTUTE, FOUND, FOUND]
     assert radii[1:] == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("path", ["nn1_attack_exact", "attack_all"])
+@pytest.mark.parametrize("path", ["run_attack", "attack_all"])
 def test_nn1_coincident_opposite_labels(path):
     """A -1 site at the place of a lower-index +1 point loses every tie to
     it, so the model predicts +1 everywhere and x is certified; listed the
@@ -303,7 +302,7 @@ def test_nn1_coincident_opposite_labels(path):
             table = attack_all(model, Dataset(x, np.array([1])), budget, method="nn1")
             got, radius, witness = table.outcome[0], table.radius[0], table.witness[0]
         else:
-            res = nn1_attack_exact(model, x[0], 1, budget)
+            res = run_attack(model, x[0], 1, budget, "nn1")
             got, radius, witness = res.outcome, res.radius, res.witness
         assert got == outcome
         if outcome == FOUND:
@@ -317,21 +316,21 @@ def test_nn1_raises_when_no_witness_flips(monkeypatch):
     model = train_knn(ds, k=1)
     monkeypatch.setattr(attack_mod, "predict", lambda model, x: 1)
     with pytest.raises(RuntimeError, match="flips"):
-        nn1_attack_exact(model, [0.2, 0.0], 1, AttackBudget(0.5))
+        run_attack(model, [0.2, 0.0], 1, AttackBudget(0.5), "nn1")
 
 
 def test_nn1_requires_k1_l2_2d():
     ds2 = _random_ds(1, n=10, d=2)
     ds3 = _random_ds(2, n=10, d=3)
     with pytest.raises(AttackMethodError):
-        nn1_attack_exact(train_knn(ds2, k=3), [0.5, 0.5], 1, AttackBudget(0.1))
+        run_attack(train_knn(ds2, k=3), [0.5, 0.5], 1, AttackBudget(0.1), "nn1")
     with pytest.raises(AttackMethodError):
-        nn1_attack_exact(train_knn(ds3, k=1), [0.5, 0.5, 0.5], 1, AttackBudget(0.1))
+        run_attack(train_knn(ds3, k=1), [0.5, 0.5, 0.5], 1, AttackBudget(0.1), "nn1")
     for model in (train_histogram(ds2), train_kernel(ds2)):
         with pytest.raises(AttackMethodError):
-            nn1_attack_exact(model, [0.5, 0.5], 1, AttackBudget(0.1))
+            run_attack(model, [0.5, 0.5], 1, AttackBudget(0.1), "nn1")
     with pytest.raises(AttackMethodError):
-        histogram_attack(train_knn(ds2, k=1), [0.5, 0.5], 1, AttackBudget(0.1))
+        run_attack(train_knn(ds2, k=1), [0.5, 0.5], 1, AttackBudget(0.1), "histogram")
 
 
 def test_nn1_witness_invariants_random():
@@ -343,7 +342,7 @@ def test_nn1_witness_invariants_random():
         for _ in range(10):
             x = rng.uniform(0, 1, 2)
             y = predict(model, x)
-            res = nn1_attack_exact(model, x, y, budget)
+            res = run_attack(model, x, y, budget, "nn1")
             if res.found:
                 _check_witness(model, res, x, y, budget)
 
@@ -355,7 +354,7 @@ def test_nn1_radius_independent_of_budget():
     for _ in range(8):
         x = rng.uniform(0, 1, 2)
         y = predict(model, x)
-        radii = [nn1_attack_exact(model, x, y, AttackBudget(r)).radius
+        radii = [run_attack(model, x, y, AttackBudget(r), "nn1").radius
                  for r in (0.3, 0.6, 1.5)]
         found = [r for r in radii if r is not None]
         assert all(abs(r - found[0]) <= 1e-9 for r in found)
@@ -375,9 +374,9 @@ def test_nn1_large_coordinates_raise_or_agree():
     big = train_knn(Dataset(train.points * scale + shift, train.labels), k=1)
     agreed = 0
     for x, y in zip(test.points, test.labels):
-        want = nn1_attack_exact(model, x, int(y), AttackBudget(r))
+        want = run_attack(model, x, int(y), AttackBudget(r), "nn1")
         try:
-            got = nn1_attack_exact(big, x * scale + shift, int(y), AttackBudget(r * scale))
+            got = run_attack(big, x * scale + shift, int(y), AttackBudget(r * scale), "nn1")
         except RuntimeError as exc:
             assert "float64" in str(exc)
             continue
@@ -539,7 +538,7 @@ def test_run_attack_auto_matches_direct():
     x = np.array([0.4, 0.6])
     y = predict(hist, x)
     auto = run_attack(hist, x, y, budget)
-    direct = histogram_attack(hist, x, y, budget)
+    direct = run_attack(hist, x, y, budget, "histogram")
     assert auto.outcome == direct.outcome and auto.radius == direct.radius
 
 
@@ -558,6 +557,15 @@ def test_attacks_reject_non_finite_query(method, x):
             run_attack(model, x, y, AttackBudget(0.1), method=method, resolution=0.05)
 
 
+@pytest.mark.parametrize("method", ["histogram", "nn1", "grid"])
+def test_attacks_reject_bad_label(method):
+    model = _moons_model(method)
+    for y in (0, 2, -2, 0.5):
+        with pytest.raises(ValueError, match="label"):
+            run_attack(model, [0.2, 0.1], y, AttackBudget(0.05), method=method,
+                       resolution=0.05)
+
+
 @pytest.mark.parametrize("x", [[0.9], [0.1, 0.2, 0.3]])
 @pytest.mark.parametrize("method", ["histogram", "nn1", "grid"])
 def test_attacks_reject_query_of_wrong_dimension(method, x):
@@ -570,13 +578,13 @@ def test_attacks_reject_query_of_wrong_dimension(method, x):
 # exact methods vs the grid oracle
 
 
-def _cross_check(model, attack_fn, seed, budget, resolution, queries=6):
+def _cross_check(model, method, seed, budget, resolution, queries=6):
     rng = np.random.default_rng(seed)
     pfn = lambda q: predict(model, q)
     for _ in range(queries):
         x = rng.uniform(0.05, 0.95, 2)
         y = predict(model, x)
-        res = attack_fn(model, x, y, budget)
+        res = run_attack(model, x, y, budget, method)
         g = oracles.grid_misprediction_radius(pfn, x, y, budget.r, resolution)
         if g is not None:
             # a grid witness is a real adversarial example, so the exact
@@ -593,14 +601,14 @@ def _cross_check(model, attack_fn, seed, budget, resolution, queries=6):
 def test_histogram_attack_vs_grid_oracle(seed):
     ds = _random_ds(1000 + seed, n=40)
     model = train_histogram(ds)
-    _cross_check(model, histogram_attack, 2000 + seed, AttackBudget(0.12), 0.012)
+    _cross_check(model, "histogram", 2000 + seed, AttackBudget(0.12), 0.012)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_nn1_attack_vs_grid_oracle(seed):
     ds = _random_ds(3000 + seed, n=25)
     model = train_knn(ds, k=1)
-    _cross_check(model, nn1_attack_exact, 4000 + seed, AttackBudget(0.12), 0.012)
+    _cross_check(model, "nn1", 4000 + seed, AttackBudget(0.12), 0.012)
 
 
 def test_nn1_radius_matches_lp_oracle():

@@ -1,12 +1,15 @@
 """Core layer: metrics, streams, scenarios, dataset IO."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import astute_np
 from astute_np import (L2, LINF, MOON_SCALE, AttackBudget, Dataset,
                        ProbeConfig, RandomStream, ScenarioSpec, SweepConfig,
                        bayes_gap_demo, build_conflict_graph, example1_posterior,
@@ -304,3 +307,17 @@ def test_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     assert len(read_csv(path)) == 0
+
+
+# ---------------------------------------------------------------------------
+# package surface
+
+
+def test_perfbench_names_are_exported():
+    """Every ``an.<name>`` the benchmark reads is public, so removing one
+    fails here and not only in a benchmark run."""
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    used = {m for path in bench.glob("*.py")
+            for m in re.findall(r"\ban\.(\w+)", path.read_text())}
+    assert "run_attack" in used and "grid_attack" in used
+    assert sorted(used - set(astute_np.__all__)) == []

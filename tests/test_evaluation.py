@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from astute_np import (FOUND, AttackBudget, Dataset, ProbeConfig, RandomStream,
-                       ScenarioSpec, SweepConfig, accuracy, adv_prune,
-                       attack_all, bayes_gap_demo, convergence_sweep,
-                       empirical_astuteness, generate, predict,
-                       probe_far_weight, run_attack, train_histogram,
-                       train_knn)
+from astute_np import (FOUND, PLATEAU_EXAMPLE3, AttackBudget, Dataset,
+                       ProbeConfig, RandomStream, ScenarioSpec, SweepConfig,
+                       accuracy, adv_prune, attack_all, bayes_gap_demo,
+                       convergence_sweep, empirical_astuteness, generate,
+                       predict, probe_far_weight, run_attack, train_histogram,
+                       train_kernel, train_knn)
 from astute_np.evaluation import SWEEP_CSV_HEADER
 
 import oracles
@@ -89,12 +89,28 @@ def test_duplicate_rows_share_verdicts():
     assert rep.astuteness == pytest.approx(float(direct), abs=1e-12)
 
 
-@pytest.mark.parametrize("family", ["histogram", "nn1", "grid"])
-def test_attack_all_matches_run_attack(family):
+def _family_case(family):
+    """(training set, model, eight test points) for one attack family."""
+    if family == "grid-kernel":
+        # plateau kernel on half-moons: test rows 27 and 28 of the stream get
+        # all-equal weights, a true tie of 0 that predicts -1 at any batch size
+        ds = generate(ScenarioSpec("half_moons", 200, sigma=0.08), RandomStream(1, 0))
+        test = generate(ScenarioSpec("half_moons", 300, sigma=0.08), RandomStream(1, 1))
+        return ds, train_kernel(ds, kind=PLATEAU_EXAMPLE3), test.subset(np.arange(24, 32))
     ds = _random_ds(33, n=30)
-    model = train_knn(ds, k=1) if family == "nn1" else train_histogram(ds)
-    method = "grid" if family == "grid" else "auto"
-    base = _random_ds(34, n=8)
+    if family == "nn1":
+        model = train_knn(ds, k=1)
+    elif family == "grid-knn3":
+        model = train_knn(ds, k=3)
+    else:
+        model = train_histogram(ds)
+    return ds, model, _random_ds(34, n=8)
+
+
+@pytest.mark.parametrize("family", ["histogram", "nn1", "grid", "grid-kernel", "grid-knn3"])
+def test_attack_all_matches_run_attack(family):
+    ds, model, base = _family_case(family)
+    method = "auto" if family in ("histogram", "nn1") else "grid"
     # a training point with the opposite label is mispredicted at radius 0
     points = np.vstack([base.points, ds.points[:1]])
     labels = np.concatenate([base.labels, -ds.labels[:1]])
@@ -102,7 +118,7 @@ def test_attack_all_matches_run_attack(family):
     test = Dataset(points[rep_idx], labels[rep_idx])
     budget = AttackBudget(0.1)
     table = attack_all(model, test, budget, method=method, resolution=0.02)
-    assert table.method == family and table.approximate == (family == "grid")
+    assert table.method == family.split("-")[0] and table.approximate == (method == "grid")
     assert np.array_equal(table.prediction, [predict(model, x) for x in test.points])
     assert table.prediction[-1] != test.labels[-1]
     assert table.outcome[-1] == FOUND and table.radius[-1] == 0.0
@@ -280,7 +296,8 @@ def test_probe_validation():
         with pytest.raises(ValueError, match="prune_r"):
             probe_far_weight(ProbeConfig(prune_r=prune_r))
     for scenario, fixed_x in [("half_moons", (0.1,)), ("half_moons", (0.1, 0.2, 0.3)),
-                              ("example2", (0.1, 0.2))]:
+                              ("example2", (0.1, 0.2)), ("half_moons", (np.nan, 0.0)),
+                              ("half_moons", (0.1, np.inf))]:
         with pytest.raises(ValueError, match="fixed_x"):
             ProbeConfig(scenario=scenario, fixed_x=fixed_x)
 

@@ -241,6 +241,25 @@ def test_unknown_kernel_kind_rejected_before_training():
         train_kernel(ds, kind="bogus")
 
 
+@pytest.mark.parametrize("kind", [GAUSSIAN, PLATEAU_EXAMPLE3, INVERSE_POLY])
+def test_kernel_batch_matches_scalar(kind):
+    """The vote of one row does not depend on the rows batched with it.  On
+    these half-moons (100 points per label) the plateau kernel gives 54 of
+    the 300 queries all-equal weights: a true tie of 0 that takes -1."""
+    train = generate(ScenarioSpec("half_moons", 200, sigma=0.08), RandomStream(1, 0))
+    test = generate(ScenarioSpec("half_moons", 300, sigma=0.08), RandomStream(1, 1))
+    model = train_kernel(train, kind=kind)
+    single = np.array([predict(model, x) for x in test.points])
+    for size in (1, 2, 7, 64, 300):
+        batched = np.concatenate([predict_batch(model, test.points[i:i + size])
+                                  for i in range(0, len(test), size)])
+        assert np.array_equal(batched, single)
+    if kind == PLATEAU_EXAMPLE3:
+        w = weights_batch(model, test.points)
+        tie = (w == w[:, :1]).all(axis=1)
+        assert tie.sum() == 54 and np.all(single[tie] == -1)
+
+
 def test_default_bandwidth_rule():
     assert default_bandwidth(1000, 1) == pytest.approx(0.1)
     assert default_bandwidth(16, 2) == pytest.approx(16 ** -0.25)

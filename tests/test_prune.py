@@ -37,7 +37,7 @@ def test_conflict_graph_edges_match_bruteforce():
     g = build_conflict_graph(ds, r)
     adj = oracles.conflict_adjacency(ds.points, ds.labels, r)
     expected = sum(bin(a).count("1") for a in adj) // 2
-    assert g.csr[0][-1] == expected
+    assert g.indptr[-1] == expected
     for li, u in enumerate(g.left):
         for v in g.adj[li]:
             assert adj[u] & (1 << g.right[v])
@@ -46,8 +46,8 @@ def test_conflict_graph_edges_match_bruteforce():
 def test_conflict_at_exactly_two_r():
     ds = Dataset(np.array([[0.0, 0.0], [0.2, 0.0]]), np.array([1, -1]))
     # closed condition: distance == 2r conflicts
-    assert build_conflict_graph(ds, 0.1).csr[0][-1] == 1
-    assert build_conflict_graph(ds, 0.0999).csr[0][-1] == 0
+    assert build_conflict_graph(ds, 0.1).indptr[-1] == 1
+    assert build_conflict_graph(ds, 0.0999).indptr[-1] == 0
 
 
 def _dense_adj(ds, r, metric):
@@ -129,7 +129,7 @@ def test_sweep_one_class(metric, label):
     rng = np.random.default_rng(3)
     ds = Dataset(rng.uniform(0, 1, (300, 2)), np.full(300, label))
     g = _assert_sweep_exact(ds, 0.2, metric)
-    assert g.csr[0][-1] == 0
+    assert g.indptr[-1] == 0
 
 
 def test_conflict_requires_positive_radius():
@@ -141,7 +141,7 @@ def test_conflict_requires_positive_radius():
 def test_same_label_points_never_conflict():
     ds = Dataset(np.zeros((4, 2)), np.array([1, 1, 1, 1]))
     g = build_conflict_graph(ds, 5.0)
-    assert g.csr[0][-1] == 0
+    assert g.indptr[-1] == 0
     assert adv_prune(ds, 5.0).kept_fraction == 1.0
 
 
