@@ -144,7 +144,8 @@ def train_kernel(ds: Dataset, kind: str = GAUSSIAN,
 @dataclass(frozen=True)
 class HistogramModel:
     """A trained histogram: its leaves, and the split tree that finds them.
-    A lookup descends the tree, O(depth * d) per query at any leaf count."""
+    A lookup descends the tree, O(depth * d) per query at any leaf count;
+    the tree takes O(nodes * d) memory."""
 
     train: Dataset
     root_lo: np.ndarray
@@ -153,21 +154,23 @@ class HistogramModel:
     # boundaries (each a ``lo + half`` computed once while training; lo +
     # side only up to rounding), so the half-open boxes [leaf_lo, leaf_hi)
     # partition the root cell and are exactly the predicted regions
-    leaf_lo: np.ndarray = field(repr=False, default=None)
-    leaf_hi: np.ndarray = field(repr=False, default=None)
-    leaf_side: np.ndarray = field(repr=False, default=None)
-    leaf_vote: np.ndarray = field(repr=False, default=None)
+    leaf_lo: np.ndarray = field(repr=False)
+    leaf_hi: np.ndarray = field(repr=False)
+    leaf_side: np.ndarray = field(repr=False)
+    leaf_vote: np.ndarray = field(repr=False)
     # each leaf's predicted label, +1 iff its vote is positive
-    leaf_label: np.ndarray = field(repr=False, default=None)
-    leaf_count: np.ndarray = field(repr=False, default=None)
-    leaf_members: list = field(repr=False, default=None)
-    # split tree, node 0 the root: each node's ``mid`` and 2^d children (child
-    # c where x >= mid in the coordinates of c's set bits; a leaf's children
-    # are itself), and its leaf id or -1; depth is the deepest leaf's level
-    node_mid: np.ndarray = field(repr=False, default=None)
-    node_child: np.ndarray = field(repr=False, default=None)
-    node_leaf: np.ndarray = field(repr=False, default=None)
-    depth: int = 0
+    leaf_label: np.ndarray = field(repr=False)
+    leaf_members: list = field(repr=False)
+    # split tree, one entry per node, node 0 the root.  A split numbers its
+    # 2^d children consecutively from ``node_first``; child c holds x >= mid
+    # in the coordinates of c's set bits.  A leaf node is its own first
+    # child and its mid is NaN, so every code is 0 there and a descent step
+    # stays put.  ``node_leaf`` is a node's leaf id or -1; depth is the
+    # deepest leaf's level
+    node_mid: np.ndarray = field(repr=False)
+    node_first: np.ndarray = field(repr=False)
+    node_leaf: np.ndarray = field(repr=False)
+    depth: int
 
     @property
     def n(self) -> int:
@@ -177,16 +180,16 @@ class HistogramModel:
         """Leaf containing each query row, or -1 outside the root cell.
 
         All rows descend the split tree together, ``depth`` steps of
-        ``node = node_child[node, code(x >= node_mid[node])]``: the test that
-        training split on, so a row inside the root reaches the leaf whose
-        box [leaf_lo, leaf_hi) holds it.  Rows outside the root, NaN ones
-        included, map to -1.  O(depth * d) per row, no per-leaf work.
+        ``node = node_first[node] + code(x >= node_mid[node])``: the child
+        code that training split on, so a row inside the root reaches the
+        leaf whose box [leaf_lo, leaf_hi) holds it.  Rows outside the root,
+        NaN ones included, map to -1.  O(depth * d) per row, no per-leaf work.
         """
         queries = as_queries(self, queries)
         code_weight = 1 << np.arange(queries.shape[1])
         node = np.zeros(len(queries), dtype=np.intp)
         for _ in range(self.depth):
-            node = self.node_child[node, (queries >= self.node_mid[node]) @ code_weight]
+            node = self.node_first[node] + (queries >= self.node_mid[node]) @ code_weight
         inside = np.all((self.root_lo <= queries)
                         & (queries < self.root_lo + self.root_side), axis=1)
         return np.where(inside, self.node_leaf[node], -1)
@@ -230,9 +233,9 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
     masses) from splitting forever.  Leaves are numbered in depth-first
     order, children in ascending order of their bit code (bit j set for the
     upper half in coordinate j).  The split tree is kept as well (each
-    node's split point and children, each leaf node's leaf id, the depth),
-    so ``leaf_index`` finds a query's leaf in O(depth * d) steps instead of
-    testing every leaf box.
+    node's split point and first child, each leaf node's leaf id, the
+    depth), so ``leaf_index`` finds a query's leaf in O(depth * d) steps
+    instead of testing every leaf box.
     """
     if len(ds) == 0:
         raise ValueError("empty training set")
@@ -257,48 +260,45 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
         extent = float((pts.max(axis=0) - lo).max())
         side = extent * (1.0 + 1e-9) if extent > 0 else 1e-9
 
-    leaf_lo, leaf_hi, leaf_side = [], [], []
-    leaf_vote, leaf_count, leaf_members = [], [], []
-    node_mid, node_child, node_leaf = [], [], []
+    leaf_lo, leaf_hi, leaf_side, leaf_vote, leaf_members = [], [], [], [], []
+    # every node starts as a leaf (NaN mid, its own first child) and is
+    # overwritten when it splits
+    nan_mid = np.full(d, np.nan)
+    node_mid, node_first, node_leaf = [nan_mid], [0], [-1]
     depth = 0
 
     # bit j of child code c: the child is the upper half in coordinate j
-    code_bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1 == 1
-    push_order = list(enumerate(code_bits))[::-1]
-    # explicit depth-first stack of (parent node, child code, depth, lo, hi,
-    # side, member indices); children are pushed in reverse so they pop in
-    # ascending code order, and nodes are numbered in pop order
-    stack = [(-1, 0, 0, lo.copy(), lo + side, side, np.arange(len(ds)))]
+    code_weight = 1 << np.arange(d)
+    push_order = list(enumerate((np.arange(1 << d)[:, None] & code_weight) > 0))[::-1]
+    # explicit depth-first stack of (node, depth, lo, hi, side, member
+    # indices); children are pushed in reverse so they pop in ascending code
+    # order, and leaves are numbered in pop order
+    stack = [(0, 0, lo.copy(), lo + side, side, np.arange(len(ds)))]
     while stack:
-        parent, code, level, clo, chi, cside, idx = stack.pop()
-        node = len(node_leaf)
-        if parent >= 0:
-            node_child[parent][code] = node
+        node, level, clo, chi, cside, idx = stack.pop()
         depth = max(depth, level)
         sub = pts[idx]
-        splittable = (
-            len(idx) > kn
-            and cside > 1e-12
-            and float(np.max(sub.max(axis=0) - sub.min(axis=0))) > 0.0
-        )
-        half = cside / 2.0
-        # the children's boxes meet exactly at this float value, which both
-        # the split and every later lookup compare against
-        mid = clo + half
-        node_mid.append(mid)
-        node_child.append([0 if splittable else node] * (1 << d))
-        node_leaf.append(-1 if splittable else len(leaf_lo))
-        if not splittable:
+        if not (len(idx) > kn and cside > 1e-12
+                and float(np.max(sub.max(axis=0) - sub.min(axis=0))) > 0.0):
+            node_leaf[node] = len(leaf_lo)
             leaf_lo.append(clo)
             leaf_hi.append(chi)
             leaf_side.append(cside)
             leaf_vote.append(int(ds.labels[idx].sum()) if len(idx) else 0)
-            leaf_count.append(len(idx))
             leaf_members.append(idx)
             continue
-        upper = sub >= mid
-        stack.extend((node, c, level + 1, np.where(bits, mid, clo), np.where(bits, chi, mid),
-                      half, idx[np.all(upper == bits, axis=1)])
+        half = cside / 2.0
+        # the children's boxes meet exactly at this float value, which both
+        # the split and every later lookup compare against
+        mid = node_mid[node] = clo + half
+        first = node_first[node] = len(node_first)
+        node_first.extend(range(first, first + (1 << d)))
+        node_mid.extend([nan_mid] * (1 << d))
+        node_leaf.extend([-1] * (1 << d))
+        # the child code that ``leaf_index`` computes
+        code = (sub >= mid) @ code_weight
+        stack.extend((first + c, level + 1, np.where(bits, mid, clo), np.where(bits, chi, mid),
+                      half, idx[code == c])
                      for c, bits in push_order)
 
     leaf_vote = np.array(leaf_vote)
@@ -307,8 +307,8 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
         leaf_lo=np.array(leaf_lo), leaf_hi=np.array(leaf_hi),
         leaf_side=np.array(leaf_side), leaf_vote=leaf_vote,
         leaf_label=np.where(leaf_vote > 0, 1, -1).astype(np.int8),
-        leaf_count=np.array(leaf_count), leaf_members=leaf_members,
-        node_mid=np.array(node_mid), node_child=np.array(node_child, dtype=np.intp),
+        leaf_members=leaf_members, node_mid=np.array(node_mid),
+        node_first=np.array(node_first, dtype=np.intp),
         node_leaf=np.array(node_leaf, dtype=np.intp), depth=depth,
     )
 
@@ -371,9 +371,9 @@ def weights_batch(model, queries: np.ndarray) -> np.ndarray:
     if isinstance(model, HistogramModel):
         leaves = model.leaf_index(queries)
         for leaf in np.unique(leaves[leaves >= 0]):
-            if model.leaf_count[leaf] > 0:
-                rows = np.flatnonzero(leaves == leaf)
-                out[np.ix_(rows, model.leaf_members[leaf])] = 1.0 / model.leaf_count[leaf]
+            members = model.leaf_members[leaf]
+            if len(members):
+                out[np.ix_(np.flatnonzero(leaves == leaf), members)] = 1.0 / len(members)
         return out
     raise TypeError(f"unknown model type {type(model).__name__}")
 
@@ -395,6 +395,10 @@ def predict_batch(model, queries: np.ndarray) -> np.ndarray:
         return np.where(leaves >= 0, model.leaf_label[leaves], -1).astype(np.int8)
     # an elementwise product summed along each row reduces every row in the
     # same order whatever the batch size; a matrix product does not, and a
-    # true tie of 0 would then read as +-1e-18
-    votes = (weights_batch(model, queries) * model.train.labels).sum(axis=1)
+    # true tie of 0 would then read as +-1e-18.  That lets the vote run in
+    # row blocks, like the k-NN search, so memory does not grow with the
+    # query count
+    votes = np.empty(len(queries))
+    for block in row_blocks(len(queries), model.train.points.size):
+        votes[block] = (weights_batch(model, queries[block]) * model.train.labels).sum(axis=1)
     return np.where(votes > 0, 1, -1).astype(np.int8)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import astute_np
-from astute_np import ProbeConfig, probe_far_weight, read_csv
+from astute_np import ProbeConfig, adv_prune, probe_far_weight, read_csv
 from astute_np.cli import _SCHEMAS, _build_parser, _merge_params, main
 from astute_np.evaluation import SWEEP_CSV_HEADER
 
@@ -109,6 +109,25 @@ def test_train_eval_report(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith(text.strip().split("\n")[-1])
 
 
+def test_train_eval_prunes_training_csv(tmp_path, monkeypatch):
+    train_csv = _gen(tmp_path, "train.csv", "half_moons", 150, seed=3,
+                     extra=["--sigma", "0.2"])
+    test_csv = _gen(tmp_path, "test.csv", "half_moons", 30, seed=4)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data drawn although both CSV files were given")
+    monkeypatch.setattr("astute_np.cli.generate", no_data)
+    out = tmp_path / "report.txt"
+    rc = main(["train-eval", "--train-csv", str(train_csv), "--test-csv", str(test_csv),
+               "--prune-r", "0.1", "--model", "knn", "--attack-r", "0.1",
+               "--out", str(out)])
+    assert rc == 0
+    kept = len(adv_prune(read_csv(str(train_csv)), 0.1).kept)
+    assert 0 < kept < 150
+    assert out.read_text().splitlines()[:3] == [
+        "n_train = 150", f"kept = {kept} ({kept / 150:.4f})", "n_test = 30"]
+
+
 def test_train_eval_bad_kernel_exits_2_before_drawing_data(monkeypatch, capsys):
     def no_data(*args, **kwargs):
         raise AssertionError("data drawn before the kernel name was checked")
@@ -150,10 +169,13 @@ def test_bad_method_or_metric_exits_2_before_reading_data(monkeypatch, capsys, c
     (["probe", "--fixed-x", "0.1", "--sizes", "20", "--draws", "2"], "probe"),
     (["train-eval", "--n", "30", "--n-test", "0"], "n-test"),
     (["train-eval", "--n", "0"], "n"),
+    (["sweep", "--sizes", ",", "--repeats", "1", "--out-csv", "o.csv"], "sizes"),
+    (["probe", "--fixed-x", "0.1,nan", "--sizes", "20", "--draws", "1"], "fixed-x"),
 ], ids=["train-eval", "probe", "train-eval-prune-nan", "train-eval-attack-nan",
         "sweep-attack-nan", "probe-nan", "demo-r-nan", "demo-n-negative",
         "train-eval-k-0", "train-eval-kn-0", "probe-fixed-x-dim",
-        "train-eval-n-test-0", "train-eval-n-0"])
+        "train-eval-n-test-0", "train-eval-n-0", "sweep-sizes-empty",
+        "probe-fixed-x-nan"])
 def test_nonpositive_prune_radius_exits_2_before_drawing_data(monkeypatch, capsys,
                                                               command, key):
     def no_data(*args, **kwargs):

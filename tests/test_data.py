@@ -87,6 +87,11 @@ def test_pairwise_rejects_dimension_mismatch():
         pairwise_distances(L2, [[0.9]], np.zeros((3, 2)))
 
 
+def test_pairwise_rejects_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric 'l1'"):
+        pairwise_distances("l1", [[0.9]], [[0.1]])
+
+
 # ---------------------------------------------------------------------------
 # random streams
 

@@ -1,5 +1,7 @@
 """Evaluation layer: astuteness reports, convergence sweeps, far-weight probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,18 @@ def test_bayes_gap_demo_values():
     assert rep.const_astuteness == rep.const_accuracy
     assert 0.3 < rep.const_accuracy < 0.7
     assert rep.const_robust_fraction == 1.0
+
+
+def test_bayes_gap_demo_memory_is_bounded():
+    # the (20000, 2001) offset grid alone would take 305 MiB per temporary
+    tracemalloc.start()
+    try:
+        rep = bayes_gap_demo(0.1, 20_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert rep.bayes_astuteness == 0.0 and rep.bayes_accuracy > rep.const_accuracy
 
 
 def test_bayes_gap_demo_validation():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -119,11 +120,15 @@ def test_knn_tie_rule_across_row_blocks(monkeypatch, d, k):
     assert predict_batch(model, np.zeros((0, d))).shape == (0,)
 
 
-def test_knn_predict_batch_memory_is_bounded():
-    # the full (2000, 3000, 2) difference tensor alone would take 96 MB
+@pytest.mark.parametrize("family", ["knn", GAUSSIAN, PLATEAU_EXAMPLE3, INVERSE_POLY,
+                                    "histogram"])
+def test_predict_batch_memory_is_bounded(family):
+    # the full (2000, 3000, 2) difference tensor alone would take 96 MB, and
+    # one (2000, 3000) kernel weight matrix 46 MB
     rng = np.random.default_rng(95)
-    model = train_knn(Dataset(rng.random((3000, 2)),
-                              np.where(rng.random(3000) < 0.5, 1, -1)), k=1)
+    ds = Dataset(rng.random((3000, 2)), np.where(rng.random(3000) < 0.5, 1, -1))
+    model = (make_model(family, ds) if family in ("knn", "histogram")
+             else make_model("kernel", ds, kernel=family))
     queries = rng.random((2000, 2))
     tracemalloc.start()
     try:
@@ -290,7 +295,7 @@ def test_histogram_partition_invariants():
     for seed in range(5):
         ds = _random_ds(20 + seed, n=120)
         model = train_histogram(ds)
-        counts = model.leaf_count
+        counts = np.array([len(m) for m in model.leaf_members])
         assert counts.sum() == len(ds)
         kn = default_cell_threshold(len(ds))
         assert np.all(counts <= kn)
@@ -418,6 +423,24 @@ def test_histogram_leaf_index_on_a_root_leaf():
         model, _leaf_lookup_queries(model, np.random.default_rng(10)))
 
 
+def test_histogram_tree_memory_is_bounded():
+    # 60 uniform points in d = 12: the root splits into 4,096 children, and
+    # a (nodes, 2^d) child table would hold 128 MiB of child ids
+    rng = np.random.default_rng(12)
+    ds = Dataset(rng.random((60, 12)), np.where(rng.random(60) < 0.5, 1, -1))
+    tracemalloc.start()
+    try:
+        model = train_histogram(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    nodes = len(model.node_leaf)
+    assert model.node_mid.shape == (nodes, 12) and model.node_first.shape == (nodes,)
+    assert len(model.leaf_vote) == 4096
+    _assert_leaf_index_matches_tree_walk(model, np.concatenate([ds.points, rng.random((200, 12))]))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_histogram_non_finite_queries_are_outside(d):
     model = train_histogram(_random_ds(50 + d, n=200, d=d), kn=2)
@@ -511,6 +534,26 @@ def test_prediction_sign_rule():
     ds = Dataset(np.array([[0.0], [2.0]]), np.array([1, -1]))
     model = train_knn(ds, k=2)  # uniform weights, vote exactly 0
     assert predict(model, [1.0]) == -1
+
+
+_EMPTY = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int8))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda ds: train_kernel(_EMPTY), ValueError, "empty training set"),
+    (lambda ds: train_histogram(_EMPTY), ValueError, "empty training set"),
+    (lambda ds: train_histogram(ds, kn=0), ValueError, "cell threshold must be >= 1"),
+    (lambda ds: train_histogram(ds, root=(np.zeros(3), 2.0)), ValueError,
+     "root dimension mismatch"),
+    (lambda ds: make_model("bogus", ds), ValueError, "unknown model 'bogus'"),
+    # an object with a training set that is no model family
+    (lambda ds: weights_batch(types.SimpleNamespace(train=ds, n=len(ds)), [[0.5, 0.5]]),
+     TypeError, "unknown model type SimpleNamespace"),
+], ids=["kernel-empty", "histogram-empty", "histogram-kn-0", "histogram-root-dim",
+        "make-model-bogus", "weights-batch-non-model"])
+def test_bad_model_arguments_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call(_random_ds(44, n=10))
 
 
 @pytest.mark.parametrize("family", ["knn", "kernel", "histogram"])
