@@ -16,8 +16,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .data import (Dataset, RandomStream, ScenarioSpec, generate,
-                   read_csv, require_positive, write_csv)
+from .data import (Dataset, RandomStream, ScenarioSpec, _require_count, _write_lines,
+                   generate, read_csv, require_positive, write_csv)
 from .models import GAUSSIAN, KERNELS, MODELS, make_model
 from .attack import FOUND, METHODS, AttackBudget, AttackMethodError, attack_all
 from .evaluation import (ProbeConfig, SweepConfig, bayes_gap_demo, convergence_sweep,
@@ -53,12 +53,7 @@ def _cast_positive(s: str) -> float:
 
 
 def _cast_at_least(lo: int):
-    def cast(s: str) -> int:
-        val = int(s)
-        if val < lo:
-            raise ValueError(f"must be >= {lo}")
-        return val
-    return cast
+    return lambda s: _require_count("value", int(s), least=lo)
 
 
 def _cast_opt(cast):
@@ -119,6 +114,18 @@ _PROBE_KEYS = {"boundary_candidates": "boundary", "interior_candidates": "interi
 #: default of a row whose config class owns it (see ``_config_keys``)
 _FIELD = None
 
+#: the keys of the fields ``SweepConfig`` and ``ProbeConfig`` share
+_EXPERIMENT_KEYS = [
+    ("scenario", str, _FIELD, False, "scenario"),
+    ("sigma", float, _FIELD, False, "noise level"),
+    *_FAMILY_KEYS,
+    ("sizes", _cast_int_list, _FIELD, False, "comma-separated training sizes"),
+    ("prune-r", _cast_opt(_cast_positive), _FIELD, False,
+     "prune each training set at this radius (omit to disable)"),
+    ("scenario-r", float, _FIELD, False, "example1 oscillation scale"),
+    ("seed", int, _FIELD, False, "random seed"),
+]
+
 
 def _config_keys(cls, rows: list, **keys) -> list:
     """Schema rows of a subcommand backed by config class ``cls``: a row whose
@@ -169,38 +176,25 @@ _SCHEMAS = {
         ("out", str, None, True, "report CSV path"),
     ],
     "sweep": _config_keys(SweepConfig, [
-        ("scenario", str, _FIELD, False, "scenario"),
-        ("sigma", float, _FIELD, False, "noise level"),
-        *_FAMILY_KEYS,
+        *_EXPERIMENT_KEYS,
         _KN_KEY,
-        ("sizes", _cast_int_list, _FIELD, False, "comma-separated training sizes"),
         ("repeats", _cast_at_least(1), _FIELD, False, "repeats per size"),
         ("n-test", _cast_at_least(1), _FIELD, False, "test size"),
         ("attack-r", _cast_positive, _FIELD, False, "robustness radius"),
-        ("prune-r", _cast_opt(_cast_positive), _FIELD, False, "prune radius (omit to disable)"),
-        ("scenario-r", float, _FIELD, False, "example1 oscillation scale"),
         ("resolution", _cast_positive, _FIELD, False, "grid attack resolution"),
-        ("seed", int, _FIELD, False, "random seed"),
         ("out-csv", str, None, True, "results CSV path"),
         ("out-svg", str, None, False, "chart SVG path"),
         ("title", str, "", False, "chart title"),
     ]),
     "probe": _config_keys(ProbeConfig, [
-        ("scenario", str, _FIELD, False, "scenario"),
-        ("sigma", float, _FIELD, False, "noise level"),
-        *_FAMILY_KEYS,
+        *_EXPERIMENT_KEYS,
         ("a", _cast_positive, _FIELD, False, "inner (perturbation) radius"),
         ("b", _cast_positive, _FIELD, False, "outer (far-point) radius"),
-        ("sizes", _cast_int_list, _FIELD, False, "training sizes to probe"),
         ("draws", _cast_at_least(1), _FIELD, False, "Monte-Carlo draws per size"),
         ("boundary", _cast_at_least(1), _FIELD, False, "ball boundary candidates"),
         ("interior", _cast_at_least(0), _FIELD, False, "ball interior candidates"),
-        ("prune-r", _cast_opt(_cast_positive), _FIELD, False,
-         "probe the pruned-training condition at this radius (omit for the unpruned probe)"),
         ("fixed-x", _cast_opt(_cast_float_list), _FIELD, False,
          "fixed query point (comma coords); not with prune-r"),
-        ("scenario-r", float, _FIELD, False, "example1 oscillation scale"),
-        ("seed", int, _FIELD, False, "random seed"),
         ("out", str, None, False, "results CSV path"),
     ], **_PROBE_KEYS),
     "demo-example1": [
@@ -290,14 +284,15 @@ def _config(cls, params: dict, key: str, **keys):
         return cls(**{f.name: params[keys.get(f.name, f.name)] for f in fields(cls)})
 
 
+def _draw(params: dict, n: int, scenario_r: float, stream: RandomStream) -> Dataset:
+    with _cfg_guard("scenario"):
+        spec = ScenarioSpec(params["scenario"], n, sigma=params["sigma"], r=scenario_r)
+    return generate(spec, stream)
+
+
 def _load_or_generate(params: dict, csv_key: str, n: int, stream: RandomStream) -> Dataset:
     path = params.get(csv_key)
-    if path is not None:
-        return read_csv(path)
-    with _cfg_guard("scenario"):
-        spec = ScenarioSpec(params["scenario"], n, sigma=params["sigma"],
-                            r=params["scenario_r"])
-    return generate(spec, stream)
+    return read_csv(path) if path is not None else _draw(params, n, params["scenario_r"], stream)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +300,13 @@ def _load_or_generate(params: dict, csv_key: str, n: int, stream: RandomStream) 
 
 
 def _cmd_gen(params: dict) -> int:
-    with _cfg_guard("scenario"):
-        spec = ScenarioSpec(params["scenario"], params["n"], sigma=params["sigma"],
-                            r=params["r"])
-    ds = generate(spec, RandomStream(params["seed"], 0))
+    ds = _draw(params, params["n"], params["r"], RandomStream(params["seed"], 0))
     write_csv(ds, params["out"])
     print(f"wrote {len(ds)} points to {params['out']}")
     return 0
 
 
 def _cmd_train_eval(params: dict) -> int:
-    budget = AttackBudget(params["attack_r"])
     train_ds = _load_or_generate(params, "train_csv", params["n"],
                                  RandomStream(params["seed"], 0))
     test_ds = _load_or_generate(params, "test_csv", params["n_test"],
@@ -326,9 +317,8 @@ def _cmd_train_eval(params: dict) -> int:
         train_ds = train_ds.subset(pruned.kept)
         lines.append(f"kept = {len(train_ds)} ({pruned.kept_fraction:.4f})")
     model = _make_model(params, train_ds)
-    report = empirical_astuteness(model, test_ds, budget,
-                                  method=params["method"],
-                                  resolution=params["resolution"])
+    report = empirical_astuteness(model, test_ds, AttackBudget(params["attack_r"]),
+                                  method=params["method"], resolution=params["resolution"])
     lines += [
         f"n_test = {report.n_test}",
         f"accuracy = {report.accuracy:.4f}",
@@ -337,11 +327,9 @@ def _cmd_train_eval(params: dict) -> int:
         f"method = {report.method}",
         f"approximate = {str(report.approximate).lower()}",
     ]
-    text = "\n".join(lines)
-    print(text)
+    print("\n".join(lines))
     if params["out"] is not None:
-        with open(params["out"], "w") as fh:
-            fh.write(text + "\n")
+        _write_lines(params["out"], lines)
     return 0
 
 
@@ -356,35 +344,22 @@ def _cmd_prune(params: dict) -> int:
     return 0
 
 
-def attack_report(model, test: Dataset, budget: AttackBudget, out_path,
-                  method: str = "auto", resolution: float = 1e-3) -> int:
-    """Write one CSV row per test point; returns the non-astute count.
-
-    Columns: index, label, prediction, astute, radius (blank when no attack
-    was found), witness (semicolon-joined coordinates, blank likewise),
-    outcome (found | certified_astute | unknown).
-    """
-    table = attack_all(model, test, budget, method=method, resolution=resolution)
+def _cmd_attack(params: dict) -> int:
+    train_ds = read_csv(params["train_csv"])
+    test_ds = read_csv(params["test_csv"])
+    table = attack_all(_make_model(params, train_ds), test_ds, AttackBudget(params["r"]),
+                       method=params["method"], resolution=params["resolution"])
     found = table.outcome == FOUND
+    # one row per test point; radius and witness (semicolon-joined coordinates)
+    # are blank where no attack was found; outcome: found | certified_astute | unknown
     lines = ["index,label,prediction,astute,radius,witness,outcome"]
-    for i, (y, pred, outcome) in enumerate(zip(test.labels, table.prediction, table.outcome)):
+    for i, (y, pred, outcome) in enumerate(zip(test_ds.labels, table.prediction, table.outcome)):
         radius = f"{table.radius[i]:.17g}" if found[i] else ""
         witness = ";".join(f"{v:.17g}" for v in table.witness[i]) if found[i] else ""
         lines.append(f"{i},{int(y):+d},{int(pred):+d},{int(not found[i])},"
                      f"{radius},{witness},{outcome}")
-    with open(out_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return int(found.sum())
-
-
-def _cmd_attack(params: dict) -> int:
-    budget = AttackBudget(params["r"])
-    train_ds = read_csv(params["train_csv"])
-    test_ds = read_csv(params["test_csv"])
-    model = _make_model(params, train_ds)
-    non_astute = attack_report(model, test_ds, budget, params["out"],
-                               method=params["method"], resolution=params["resolution"])
-    print(f"attacked {len(test_ds)} points, {non_astute} non-astute; "
+    _write_lines(params["out"], lines)
+    print(f"attacked {len(test_ds)} points, {int(found.sum())} non-astute; "
           f"report at {params['out']}")
     return 0
 
@@ -412,8 +387,7 @@ def _cmd_probe(params: dict) -> int:
               f"se {result.std_errors[i]:.6f}")
         lines.append(f"{n},{result.estimates[i]:.17g},{result.std_errors[i]:.17g}")
     if params["out"] is not None:
-        with open(params["out"], "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(params["out"], lines)
     return 0
 
 

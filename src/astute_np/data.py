@@ -133,7 +133,14 @@ class Dataset:
         return self.points.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
+        """The rows that integer ``indices``, an empty list or a boolean mask
+        of length n selects; ValueError for anything else."""
+        idx = np.asarray(indices)
+        if idx.size == 0:
+            idx = idx.astype(np.intp)
+        if idx.dtype.kind not in "biu" or (idx.dtype == bool and idx.shape != (len(self),)):
+            raise ValueError(f"indices must be integers or a boolean mask of length "
+                             f"{len(self)}, got {idx.dtype} of shape {idx.shape}")
         return Dataset(self.points[idx], self.labels[idx])
 
 
@@ -234,6 +241,11 @@ def write_csv(ds: Dataset, path) -> None:
         for row, lab in zip(ds.points, ds.labels):
             coords = ",".join(f"{v:.17g}" for v in row)
             fh.write(f"{coords},{'+1' if lab == 1 else '-1'}\n")
+
+
+def _write_lines(path, lines: list) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> Dataset:

@@ -1,11 +1,15 @@
 """Accuracy and astuteness measurement, convergence sweeps, and probes.
 
 The sweep reproduces the convergence-versus-training-size experiment:
-draw, optionally prune, train, attack every test point exactly, aggregate
-over repeats.  The probes estimate the far-mass condition that governs
-r-consistency of weight functions: the expected supremum, over the l-inf
-ball of radius a around a query, of the total weight carried by training
-points farther than b.
+draw, optionally prune, train, attack every test point, aggregate over
+repeats.  Histograms and 2-D 1-NN get an exact attack.  Every other model,
+kernels and k > 1 among them, gets the grid scan, which counts a point it
+cannot attack as astute, so its astuteness is an upper estimate.
+
+The probes estimate the far-mass condition that governs r-consistency of
+weight functions: the expected supremum, over the l-inf ball of radius a
+around a query, of the total weight carried by training points farther
+than b.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .data import (LINF, Dataset, RandomStream, ScenarioSpec, _require_count,
-                   example1_posterior, generate, pairwise_distances,
+                   _write_lines, example1_posterior, generate, pairwise_distances,
                    require_positive, row_blocks)
 from .models import GAUSSIAN, KERNELS, MODELS, make_model, predict_batch, weights
 from .attack import FOUND, AttackBudget, attack_all
@@ -63,43 +67,57 @@ def empirical_astuteness(model, test: Dataset, budget: AttackBudget,
 # convergence sweep
 
 
-def _check_shared(cfg) -> ScenarioSpec:
-    """Rules sweep and probe configs share, the scenario's through
-    ``ScenarioSpec``; returns that scenario with n = 0."""
-    if cfg.model not in MODELS:
-        raise ValueError(f"unknown model {cfg.model!r}")
-    if cfg.kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {cfg.kernel!r}")
-    _require_count("k", cfg.k)
-    scenario = ScenarioSpec(cfg.scenario, 0, sigma=cfg.sigma, r=cfg.scenario_r)
-    if not cfg.sizes:
-        raise ValueError("sizes must not be empty")
-    for n in cfg.sizes:
-        _require_count("sizes", n)
-    if cfg.prune_r is not None:
-        require_positive("prune_r", cfg.prune_r)
-    return scenario
-
-
 @dataclass(frozen=True)
-class SweepConfig:
+class _Experiment:
+    """What sweep and probe configs share, with its rules: the scenario, the
+    sizes and seed to draw with, optional pruning, the model family."""
+
     scenario: str = "half_moons"
     sigma: float = 0.0
     model: str = "knn"           # knn | histogram | kernel
     k: int = 1
-    kn: Optional[int] = None
     kernel: str = GAUSSIAN
     sizes: tuple = DEFAULT_SIZES
-    repeats: int = 5
-    n_test: int = 1000
-    attack_r: float = 0.1
     prune_r: Optional[float] = None
     scenario_r: float = 0.1
-    resolution: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
-        _check_shared(self)
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}")
+        if self.kernel not in KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel!r}")
+        _require_count("k", self.k)
+        self.spec(0)
+        if not self.sizes:
+            raise ValueError("sizes must not be empty")
+        for n in self.sizes:
+            _require_count("sizes", n)
+        if self.prune_r is not None:
+            require_positive("prune_r", self.prune_r)
+
+    def spec(self, n: int) -> ScenarioSpec:
+        """The scenario with ``n`` points; ValueError if its keys are bad."""
+        return ScenarioSpec(self.scenario, n, sigma=self.sigma, r=self.scenario_r)
+
+    def fit(self, ds: Dataset, kn: Optional[int] = None):
+        """The model family trained on ``ds``, pruned first if ``prune_r`` is
+        set; the model's ``train`` is the set it was trained on."""
+        if self.prune_r is not None:
+            ds = ds.subset(adv_prune(ds, self.prune_r).kept)
+        return make_model(self.model, ds, k=self.k, kn=kn, kernel=self.kernel)
+
+
+@dataclass(frozen=True)
+class SweepConfig(_Experiment):
+    kn: Optional[int] = None
+    repeats: int = 5
+    n_test: int = 1000
+    attack_r: float = 0.1
+    resolution: float = 1e-3
+
+    def __post_init__(self):
+        super().__post_init__()
         if list(self.sizes) != sorted(set(self.sizes)):
             raise ValueError("sizes must be strictly increasing")
         _require_count("repeats", self.repeats)
@@ -126,21 +144,15 @@ class SweepResult:
             vals = (self.accuracy_mean[i], self.accuracy_std[i],
                     self.astuteness_mean[i], self.astuteness_std[i])
             lines.append(f"{n}," + ",".join(f"{v:.17g}" for v in vals))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(path, lines)
 
 
 def _sweep_cell(cfg: SweepConfig, n: int, cell: int) -> tuple:
     """One (size, repeat) job: returns (accuracy, astuteness)."""
     root = RandomStream(cfg.seed, 0)
-    train_ds = generate(ScenarioSpec(cfg.scenario, n, sigma=cfg.sigma, r=cfg.scenario_r),
-                        root.child(2 * cell))
-    test_ds = generate(ScenarioSpec(cfg.scenario, cfg.n_test, sigma=cfg.sigma, r=cfg.scenario_r),
-                       root.child(2 * cell + 1))
-    if cfg.prune_r is not None:
-        pruned = adv_prune(train_ds, cfg.prune_r)
-        train_ds = train_ds.subset(pruned.kept)
-    model = make_model(cfg.model, train_ds, k=cfg.k, kn=cfg.kn, kernel=cfg.kernel)
+    train_ds = generate(cfg.spec(n), root.child(2 * cell))
+    test_ds = generate(cfg.spec(cfg.n_test), root.child(2 * cell + 1))
+    model = cfg.fit(train_ds, kn=cfg.kn)
     report = empirical_astuteness(model, test_ds, AttackBudget(cfg.attack_r),
                                   resolution=cfg.resolution)
     return report.accuracy, report.astuteness
@@ -185,28 +197,22 @@ def convergence_sweep(cfg: SweepConfig) -> SweepResult:
 
 
 @dataclass(frozen=True)
-class ProbeConfig:
-    scenario: str = "half_moons"
-    sigma: float = 0.0
-    model: str = "knn"
-    k: int = 1
-    kernel: str = GAUSSIAN
+class ProbeConfig(_Experiment):
+    # only the default differs; the field and its rules are the base's
+    sizes: tuple = (100, 1000)
     a: float = 0.05
     b: float = 0.1
-    sizes: tuple = (100, 1000)
     draws: int = 400
     boundary_candidates: int = 64
     interior_candidates: int = 16
-    prune_r: Optional[float] = None
     fixed_x: Optional[tuple] = None
-    scenario_r: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
-        scenario = _check_shared(self)
-        if self.fixed_x is not None and (len(self.fixed_x) != scenario.dim
+        super().__post_init__()
+        dim = self.spec(0).dim
+        if self.fixed_x is not None and (len(self.fixed_x) != dim
                                          or not np.isfinite(self.fixed_x).all()):
-            raise ValueError(f"fixed_x must have {scenario.dim} finite coordinates "
+            raise ValueError(f"fixed_x must have {dim} finite coordinates "
                              f"for scenario {self.scenario!r}")
         if not 0 < self.a < self.b:
             raise ValueError("need 0 < a < b")
@@ -243,9 +249,9 @@ def _ball_candidates(x: np.ndarray, a: float, n_boundary: int, n_interior: int,
     return np.vstack([np.atleast_2d(c) for c in cands])
 
 
-def _far_weight_sup(model, train_pts: np.ndarray, cands: np.ndarray, b: float) -> float:
+def _far_weight_sup(model, cands: np.ndarray, b: float) -> float:
     best = 0.0
-    far = pairwise_distances(LINF, cands, train_pts) > b
+    far = pairwise_distances(LINF, cands, model.train.points) > b
     for c, far_row in zip(cands, far):
         w = weights(model, c)
         best = max(best, float(w[far_row].sum()))
@@ -269,24 +275,19 @@ def probe_far_weight(cfg: ProbeConfig) -> ProbeResult:
         vals = np.empty(cfg.draws)
         for j in range(cfg.draws):
             stream = i * 300000 + 3 * j
-            ds = generate(ScenarioSpec(cfg.scenario, n, sigma=cfg.sigma, r=cfg.scenario_r),
-                          root.child(stream))
+            model = cfg.fit(generate(cfg.spec(n), root.child(stream)))
             if cfg.prune_r is not None:
-                ds = ds.subset(adv_prune(ds, cfg.prune_r).kept)
-                queries = ds.points
+                queries = model.train.points
             elif cfg.fixed_x is not None:
                 queries = [np.asarray(cfg.fixed_x, dtype=float)]
             else:
-                queries = generate(ScenarioSpec(cfg.scenario, 1, sigma=cfg.sigma,
-                                                r=cfg.scenario_r),
-                                   root.child(stream + 1)).points
+                queries = generate(cfg.spec(1), root.child(stream + 1)).points
             c_rng = root.child(stream + 2).generator()
-            model = make_model(cfg.model, ds, k=cfg.k, kernel=cfg.kernel)
             total = 0.0
             for x in queries:
                 cands = _ball_candidates(x, cfg.a, cfg.boundary_candidates,
                                          cfg.interior_candidates, c_rng)
-                total += _far_weight_sup(model, ds.points, cands, cfg.b)
+                total += _far_weight_sup(model, cands, cfg.b)
             vals[j] = total / len(queries)
         est[i] = vals.mean()
         se[i] = vals.std(ddof=1) / np.sqrt(cfg.draws) if cfg.draws > 1 else 0.0

@@ -55,10 +55,6 @@ class KnnModel:
     train: Dataset
     k: int
 
-    @property
-    def n(self) -> int:
-        return len(self.train)
-
     @cached_property
     def by_label(self) -> dict:
         """The training set split by label, ``{label: (points, sq_norms,
@@ -122,19 +118,17 @@ class KernelModel:
     kind: str
     h: float
 
-    @property
-    def n(self) -> int:
-        return len(self.train)
+    def __post_init__(self):
+        if self.kind not in KERNELS:
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        object.__setattr__(self, "h", float(require_positive("h", self.h)))
 
 
 def train_kernel(ds: Dataset, kind: str = GAUSSIAN,
                  h: Optional[float] = None) -> KernelModel:
     if len(ds) == 0:
         raise ValueError("empty training set")
-    if kind not in KERNELS:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    h = default_bandwidth(len(ds), ds.dim) if h is None else h
-    return KernelModel(ds, kind, float(require_positive("h", h)))
+    return KernelModel(ds, kind, default_bandwidth(len(ds), ds.dim) if h is None else h)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +152,6 @@ class HistogramModel:
     leaf_hi: np.ndarray = field(repr=False)
     leaf_side: np.ndarray = field(repr=False)
     leaf_vote: np.ndarray = field(repr=False)
-    # each leaf's predicted label, +1 iff its vote is positive
-    leaf_label: np.ndarray = field(repr=False)
     leaf_members: list = field(repr=False)
     # split tree, one entry per node, node 0 the root.  A split numbers its
     # 2^d children consecutively from ``node_first``; child c holds x >= mid
@@ -171,10 +163,6 @@ class HistogramModel:
     node_first: np.ndarray = field(repr=False)
     node_leaf: np.ndarray = field(repr=False)
     depth: int
-
-    @property
-    def n(self) -> int:
-        return len(self.train)
 
     def leaf_index(self, queries: np.ndarray) -> np.ndarray:
         """Leaf containing each query row, or -1 outside the root cell.
@@ -209,7 +197,7 @@ class HistogramModel:
         d = len(self.root_lo)
         inf = np.full((d, d), np.inf)
         axis = np.eye(d, dtype=bool)
-        plus = self.leaf_label > 0
+        plus = self.leaf_vote > 0
         return {1: (self.leaf_lo[plus], self.leaf_hi[plus]),
                 -1: (np.concatenate([self.leaf_lo[~plus], -inf,
                                      np.where(axis, self.root_lo + self.root_side, -inf)]),
@@ -301,12 +289,10 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
                       half, idx[code == c])
                      for c, bits in push_order)
 
-    leaf_vote = np.array(leaf_vote)
     return HistogramModel(
         train=ds, root_lo=lo, root_side=side,
         leaf_lo=np.array(leaf_lo), leaf_hi=np.array(leaf_hi),
-        leaf_side=np.array(leaf_side), leaf_vote=leaf_vote,
-        leaf_label=np.where(leaf_vote > 0, 1, -1).astype(np.int8),
+        leaf_side=np.array(leaf_side), leaf_vote=np.array(leaf_vote),
         leaf_members=leaf_members, node_mid=np.array(node_mid),
         node_first=np.array(node_first, dtype=np.intp),
         node_leaf=np.array(node_leaf, dtype=np.intp), depth=depth,
@@ -354,7 +340,7 @@ def weights(model, x) -> np.ndarray:
 
 def weights_batch(model, queries: np.ndarray) -> np.ndarray:
     queries = as_queries(model, queries)
-    out = np.zeros((len(queries), model.n))
+    out = np.zeros((len(queries), len(model.train)))
     if isinstance(model, KnnModel):
         rows = _knn_neighbor_rows(model, queries)
         np.put_along_axis(out, rows, 1.0 / model.k, axis=1)
@@ -386,19 +372,20 @@ def predict_batch(model, queries: np.ndarray) -> np.ndarray:
     """Vectorized prediction; +1 iff the weighted label vote is positive."""
     queries = as_queries(model, queries)
     if isinstance(model, KnnModel):
-        # fast path: vote of the k nearest labels, no dense weight matrix
-        rows = _knn_neighbor_rows(model, queries)
-        votes = model.train.labels[rows].sum(axis=1)
-        return np.where(votes > 0, 1, -1).astype(np.int8)
-    if isinstance(model, HistogramModel):
+        # the k nearest labels, no dense weight matrix
+        votes = model.train.labels[_knn_neighbor_rows(model, queries)].sum(axis=1)
+    elif isinstance(model, HistogramModel):
         leaves = model.leaf_index(queries)
-        return np.where(leaves >= 0, model.leaf_label[leaves], -1).astype(np.int8)
-    # an elementwise product summed along each row reduces every row in the
-    # same order whatever the batch size; a matrix product does not, and a
-    # true tie of 0 would then read as +-1e-18.  That lets the vote run in
-    # row blocks, like the k-NN search, so memory does not grow with the
-    # query count
-    votes = np.empty(len(queries))
-    for block in row_blocks(len(queries), model.train.points.size):
-        votes[block] = (weights_batch(model, queries[block]) * model.train.labels).sum(axis=1)
+        votes = np.where(leaves >= 0, model.leaf_vote[leaves], 0)
+    elif isinstance(model, KernelModel):
+        # an elementwise product summed along each row reduces every row in
+        # the same order whatever the batch size; a matrix product does not,
+        # and a true tie of 0 would then read as +-1e-18.  That lets the vote
+        # run in row blocks, like the k-NN search, so memory does not grow
+        # with the query count
+        votes = np.empty(len(queries))
+        for block in row_blocks(len(queries), model.train.points.size):
+            votes[block] = (weights_batch(model, queries[block]) * model.train.labels).sum(axis=1)
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
     return np.where(votes > 0, 1, -1).astype(np.int8)

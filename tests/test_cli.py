@@ -520,3 +520,13 @@ def test_readme_commands_parse():
         args = parser.parse_args(argv)
         flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         _merge_params(args.command, args.config, flags)
+
+
+def test_readme_quickstart_prints_documented_figures(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block, = re.findall(r"^## Library quickstart\n\n```python\n(.*?)^```", text,
+                        flags=re.M | re.S)
+    documented = re.search(r"^print\(report\.accuracy, report\.astuteness\)\s+# (.*)$",
+                           block, flags=re.M).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == documented == "0.971 0.882"

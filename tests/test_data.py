@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import astute_np
-from astute_np import (L2, LINF, MOON_SCALE, AttackBudget, Dataset,
+from astute_np import (L2, LINF, MOON_SCALE, AttackBudget, Dataset, KernelModel,
                        ProbeConfig, RandomStream, ScenarioSpec, SweepConfig,
                        bayes_gap_demo, build_conflict_graph, example1_posterior,
                        generate, grid_attack, pairwise_distances, read_csv,
@@ -153,6 +153,19 @@ def test_scenario_validation():
     assert ScenarioSpec("half_moons", np.int64(0)).n == 0
 
 
+def test_dataset_subset_takes_indices_or_a_mask():
+    ds = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([1, -1, 1]))
+    for indices, rows in [([2, 0], [2, 0]), (np.array([1], dtype=np.int32), [1]),
+                          ([True, False, True], [0, 2]), (np.ones(3, dtype=bool), [0, 1, 2]),
+                          ([], [])]:
+        sub = ds.subset(indices)
+        assert sub.points[:, 0].tolist() == rows
+        assert sub.labels.tolist() == ds.labels[rows].tolist()
+    for bad in ([2.7], [0.0, 1.0], [True, False], ["0"]):
+        with pytest.raises(ValueError):
+            ds.subset(bad)
+
+
 _LINE = Dataset(np.array([[0.0], [0.5]]), np.array([1, -1]))
 
 # (constructor taking one value, name the error must give); each must reject
@@ -168,6 +181,7 @@ _PARAMETERS = {
     "ScenarioSpec.sigma": (lambda v: ScenarioSpec("half_moons", 5, sigma=v), "sigma"),
     "ScenarioSpec.r": (lambda v: ScenarioSpec("example1", 5, r=v), "r"),
     "train_kernel.h": (lambda v: train_kernel(_LINE, h=v), "h"),
+    "KernelModel.h": (lambda v: KernelModel(_LINE, "gaussian", v), "h"),
     "train_histogram.root": (lambda v: train_histogram(_LINE, root=([0.0], v)), "root side"),
     "grid_attack.resolution": (lambda v: grid_attack(train_knn(_LINE), [0.0], 1,
                                                      AttackBudget(0.1), v), "resolution"),

@@ -185,6 +185,21 @@ def test_sweep_deterministic_and_csv_stable(monkeypatch, tmp_path):
     assert lines[1].startswith("12,") and lines[2].startswith("24,")
 
 
+def test_sweep_cell_follows_the_recipe(monkeypatch):
+    # cell c draws its training set from child 2c and its test set from
+    # child 2c + 1, prunes, trains with the config's kn, then attacks
+    monkeypatch.setenv("ASTUTE_NP_THREADS", "1")
+    res = convergence_sweep(_tiny_cfg(model="histogram", kn=1, sizes=(40,), repeats=1,
+                                      sigma=0.1, prune_r=0.05))
+    root = RandomStream(3, 0)
+    train = generate(ScenarioSpec("half_moons", 40, sigma=0.1), root.child(0))
+    test = generate(ScenarioSpec("half_moons", 30, sigma=0.1), root.child(1))
+    model = train_histogram(train.subset(adv_prune(train, 0.05).kept), kn=1)
+    report = empirical_astuteness(model, test, AttackBudget(0.1))
+    assert (res.accuracy_mean[0], res.astuteness_mean[0]) == (report.accuracy,
+                                                              report.astuteness)
+
+
 def test_sweep_rejects_non_integer_thread_count(monkeypatch):
     # unset or <= 0 means every CPU; a value that is not an integer is an error
     monkeypatch.setenv("ASTUTE_NP_THREADS", "abc")

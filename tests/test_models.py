@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astute_np import (CERTIFIED_ASTUTE, GAUSSIAN, INVERSE_POLY, PLATEAU_EXAMPLE3,
-                       AttackBudget, Dataset, RandomStream, ScenarioSpec,
+                       AttackBudget, Dataset, KernelModel, RandomStream, ScenarioSpec,
                        default_bandwidth, default_cell_threshold, generate,
                        make_model, predict, predict_batch, run_attack, train_histogram,
                        train_kernel, train_knn, weights, weights_batch)
@@ -470,8 +470,8 @@ def test_histogram_regions_are_the_predicted_sets(d):
         inside = np.all((lo <= queries[:, None]) & (queries[:, None] < hi), axis=2)
         # exterior slabs overlap at the root's corners; leaves are disjoint
         assert np.array_equal(inside.any(axis=1), pred == label)
-        assert inside[:, :np.sum(model.leaf_label == label)].sum(axis=1).max() <= 1
-    assert len(model.regions[-1][0]) - np.sum(model.leaf_label < 0) == 2 * d
+        assert inside[:, :np.sum((model.leaf_vote > 0) == (label > 0))].sum(axis=1).max() <= 1
+    assert len(model.regions[-1][0]) - np.sum(model.leaf_vote <= 0) == 2 * d
 
 
 def test_histogram_root_must_cover_data():
@@ -546,11 +546,17 @@ _EMPTY = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int8))
     (lambda ds: train_histogram(ds, root=(np.zeros(3), 2.0)), ValueError,
      "root dimension mismatch"),
     (lambda ds: make_model("bogus", ds), ValueError, "unknown model 'bogus'"),
+    (lambda ds: KernelModel(ds, "gausian", 0.5), ValueError, "unknown kernel kind 'gausian'"),
     # an object with a training set that is no model family
-    (lambda ds: weights_batch(types.SimpleNamespace(train=ds, n=len(ds)), [[0.5, 0.5]]),
+    (lambda ds: weights_batch(types.SimpleNamespace(train=ds), [[0.5, 0.5]]),
+     TypeError, "unknown model type SimpleNamespace"),
+    (lambda ds: predict_batch(types.SimpleNamespace(train=ds), [[0.5, 0.5]]),
+     TypeError, "unknown model type SimpleNamespace"),
+    (lambda ds: predict_batch(types.SimpleNamespace(train=ds), np.zeros((0, 2))),
      TypeError, "unknown model type SimpleNamespace"),
 ], ids=["kernel-empty", "histogram-empty", "histogram-kn-0", "histogram-root-dim",
-        "make-model-bogus", "weights-batch-non-model"])
+        "make-model-bogus", "kernel-kind-typo", "weights-batch-non-model",
+        "predict-batch-non-model", "predict-batch-non-model-empty"])
 def test_bad_model_arguments_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call(_random_ds(44, n=10))

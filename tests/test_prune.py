@@ -346,6 +346,6 @@ def test_robust_train_uses_survivors():
     ds = _random_ds(9, n=30, box=0.3)
     pruned = adv_prune(ds, 0.1)
     model = train_knn(ds.subset(pruned.kept), k=1)
-    assert model.n == len(pruned.kept)
+    assert len(model.train) == len(pruned.kept)
     assert np.array_equal(model.train.points, ds.points[pruned.kept])
     assert np.array_equal(model.train.labels, ds.labels[pruned.kept])
