@@ -45,6 +45,11 @@ _STEP_TOL = 1e-12
 
 #: a grid scan past this many lattice points raises CostGuardError.
 _GRID_MAX_POINTS = 2_000_000
+#: fewest lattice points per ``predict_batch`` call of a grid scan, unless the
+#: lattice ends first.  On a depth-6 histogram a call costs about 50 us fixed
+#: plus 0.17 us per row (2 CPUs), so one call per shell of 8 to 88 rows is
+#: mostly overhead; at 512 rows the fixed part is about a third of the call.
+_GRID_CHUNK = 512
 
 
 class AttackMethodError(ValueError):
@@ -306,6 +311,12 @@ def _attack_grid(model, x: np.ndarray, y: int, prediction: int, budget: AttackBu
     so witnesses are deterministic.  A clean scan yields UNKNOWN: a grid can
     never certify astuteness.  Scans whose point count would exceed
     ``_GRID_MAX_POINTS`` raise CostGuardError instead of running forever.
+
+    Shells are predicted in chunks: a chunk is the next run of whole shells,
+    extended until it holds at least ``_GRID_CHUNK`` points or the lattice
+    ends, so one ``predict_batch`` call takes at most one shell plus
+    ``_GRID_CHUNK - 1`` points.  Predictions are per row, so the first
+    misprediction of a chunk is the first in scan order.
     """
     d = x.shape[0]
     if not 0 < resolution <= budget.r:
@@ -321,13 +332,18 @@ def _attack_grid(model, x: np.ndarray, y: int, prediction: int, budget: AttackBu
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
 
     offsets, ends = _lattice(steps, d)
-    for k in range(1, steps + 1):
-        queries = x + offsets[ends[k - 1]:ends[k]] * resolution
-        preds = predict_batch(model, queries)
-        hits = np.flatnonzero(preds != y)
+    start = ends[0]
+    while start < len(offsets):
+        # the end of the first shell that brings the chunk to _GRID_CHUNK
+        # points, or of the last shell
+        stop = ends[min(np.searchsorted(ends, start + _GRID_CHUNK), steps)]
+        queries = x + offsets[start:stop] * resolution
+        hits = np.flatnonzero(predict_batch(model, queries) != y)
         if len(hits):
-            w = queries[hits[0]]
+            # a copy, not a view that would keep the whole chunk alive
+            w = queries[hits[0]].copy()
             return AttackResult(FOUND, witness=w, radius=float(np.max(np.abs(w - x))))
+        start = stop
     return AttackResult(UNKNOWN)
 
 

@@ -101,15 +101,19 @@ def _knn_neighbor_rows(model: KnnModel, queries: np.ndarray) -> np.ndarray:
 
 
 def log_kernel(kind: str, u: np.ndarray) -> np.ndarray:
-    """log K(u) of kernel ``kind`` (one of ``KERNELS``) at scaled distances u >= 0."""
-    if kind == GAUSSIAN:
-        return -np.square(u)
+    """log K(u) of kernel ``kind`` (one of ``KERNELS``) at scaled distances
+    u >= 0, a float array that is overwritten with the result and returned."""
     if kind == PLATEAU_EXAMPLE3:
         # flattens beyond u = 0.2, so far points keep substantial weight
-        return -np.square(np.minimum(np.abs(u), 0.2))
+        np.minimum(np.abs(u, out=u), 0.2, out=u)
+    if kind in (GAUSSIAN, PLATEAU_EXAMPLE3):
+        np.square(u, out=u)
+        return np.negative(u, out=u)
     # INVERSE_POLY, K(u) = (1 + u)^(-2): heavy tail, decays too slowly for
     # concentration; kept as a deliberately ill-behaved contrast case
-    return -2.0 * np.log1p(u)
+    np.log1p(u, out=u)
+    u *= -2.0
+    return u
 
 
 @dataclass(frozen=True)
@@ -340,20 +344,22 @@ def weights(model, x) -> np.ndarray:
 
 def weights_batch(model, queries: np.ndarray) -> np.ndarray:
     queries = as_queries(model, queries)
+    if isinstance(model, KernelModel):
+        w = pairwise_distances(L2, queries, model.train.points)
+        w /= model.h
+        log_kernel(model.kind, w)
+        # divide through by the max kernel value before normalizing: exact in
+        # real arithmetic, and keeps tiny bandwidths from flushing every
+        # numerator to zero
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        return w
     out = np.zeros((len(queries), len(model.train)))
     if isinstance(model, KnnModel):
         rows = _knn_neighbor_rows(model, queries)
         np.put_along_axis(out, rows, 1.0 / model.k, axis=1)
         return out
-    if isinstance(model, KernelModel):
-        u = pairwise_distances(L2, queries, model.train.points) / model.h
-        logk = log_kernel(model.kind, u)
-        # divide through by the max kernel value before normalizing: exact in
-        # real arithmetic, and keeps tiny bandwidths from flushing every
-        # numerator to zero
-        logk -= logk.max(axis=1, keepdims=True)
-        k = np.exp(logk)
-        return k / k.sum(axis=1, keepdims=True)
     if isinstance(model, HistogramModel):
         leaves = model.leaf_index(queries)
         for leaf in np.unique(leaves[leaves >= 0]):

@@ -6,6 +6,7 @@ definitions, not from the library internals, so agreement is meaningful.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 
@@ -290,29 +291,24 @@ def histogram_walk_leaves(model, queries) -> list:
 
 
 def grid_misprediction_radius(predict_fn, x, y: int, r: float, resolution: float):
-    """Smallest grid radius at which predict_fn disagrees with y, or None.
+    """First lattice point where predict_fn disagrees with y, as
+    ``(radius, point)``, or ``(None, None)`` when none does.
 
-    1-D and 2-D only; checks shells in increasing radius like the library's
-    oracle but with an independent loop structure.
+    Any dimension; checks shells in increasing radius like the library's
+    oracle, each in lexicographic order, but one point at a time from its
+    own ``itertools.product`` loop per shell.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if predict_fn(x) != y:
-        return 0.0
+        return 0.0, x
     steps = int(np.floor(r / resolution + 1e-12))
-    d = x.shape[0]
     for k in range(1, steps + 1):
-        if d == 1:
-            offs = [np.array([-k * resolution]), np.array([k * resolution])]
-        else:
-            offs = []
-            for i in range(-k, k + 1):
-                for j in range(-k, k + 1):
-                    if max(abs(i), abs(j)) == k:
-                        offs.append(np.array([i, j]) * resolution)
-        for off in offs:
-            if predict_fn(x + off) != y:
-                return k * resolution
-    return None
+        for off in itertools.product(range(-k, k + 1), repeat=len(x)):
+            if max(abs(o) for o in off) == k:
+                point = x + np.array(off) * resolution
+                if predict_fn(point) != y:
+                    return k * resolution, point
+    return None, None
 
 
 def random_two_class(rng, n: int, d: int = 2, box: float = 1.0):

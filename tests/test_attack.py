@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from astute_np import (CERTIFIED_ASTUTE, FOUND, UNKNOWN, AttackBudget,
                        AttackMethodError, CostGuardError, Dataset,
                        RandomStream, ScenarioSpec, adv_prune, attack_all,
-                       generate, grid_attack, predict, resolve_attack,
-                       run_attack, train_histogram, train_kernel, train_knn)
+                       generate, grid_attack, predict, predict_batch,
+                       resolve_attack, run_attack, train_histogram, train_kernel,
+                       train_knn)
 import astute_np.attack as attack_mod
 from astute_np.attack import _lattice
 
@@ -421,6 +422,8 @@ def test_grid_witness_on_lattice():
     off = (res.witness - np.array([0.2, 0.0])) / 0.1
     assert np.allclose(off, np.round(off), atol=1e-9)
     assert predict(model, res.witness) == -1
+    # its own array, not a view that keeps the scanned lattice points alive
+    assert res.witness.base is None
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -434,28 +437,86 @@ def test_grid_shells_in_product_order(d):
         assert np.array_equal(offsets[ends[k - 1]:ends[k]], np.array(reference))
 
 
-@pytest.mark.parametrize("d", [1, 2])
+# per dimension: two coarse resolutions, alternated so that the one cached
+# lattice is rebuilt between calls, and a fine one whose lattice spans
+# more than one scan chunk (601, 3,721 and 2,197 points)
+ORACLE_RESOLUTIONS = {1: ((0.012, 0.02), 4e-4), 2: ((0.012, 0.02), 0.004),
+                      3: ((0.04, 0.06), 0.02)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_grid_radius_matches_oracle(d):
-    """The first flipped shell agrees with an independent shell loop on
-    3-NN, Gaussian kernel and histogram models; alternating resolutions
-    rebuild the one cached lattice between calls."""
+    """The first flipped lattice point, radius and bits, agrees with an
+    independent shell loop on 3-NN, Gaussian kernel and histogram models,
+    also where it lies past the first chunk of a fine scan."""
     rng = np.random.default_rng(50 + d)
+    fine_rng = np.random.default_rng(150 + d)
     budget = AttackBudget(0.12)
+    coarse, fine = ORACLE_RESOLUTIONS[d]
+    # the radius of the last shell of a fine scan's first chunk
+    _, ends = _lattice(int(budget.r / fine + 1e-9), d)
+    first_chunk_r = fine * np.searchsorted(ends, 1 + attack_mod._GRID_CHUNK)
+    past_first_chunk = 0
     for seed in range(3):
         ds = _random_ds(60 + 10 * d + seed, n=30, d=d)
         for model in (train_knn(ds, k=3), train_kernel(ds, h=0.08), train_histogram(ds)):
-            for i in range(8):
-                resolution = (0.012, 0.02)[i % 2]
-                x = rng.uniform(0.05, 0.95, d)
+            cases = [(coarse[i % 2], rng.uniform(0.05, 0.95, d)) for i in range(8)]
+            cases.append((fine, fine_rng.uniform(0.05, 0.95, d)))
+            for resolution, x in cases:
                 y = predict(model, x)
                 res = grid_attack(model, x, y, budget, resolution)
-                want = oracles.grid_misprediction_radius(
+                want, point = oracles.grid_misprediction_radius(
                     lambda q: predict(model, q), x, y, budget.r, resolution)
                 if want is None:
                     assert res.outcome == UNKNOWN
-                else:
-                    assert res.found and abs(res.radius - want) <= 1e-12
-                    assert predict(model, res.witness) != y
+                    continue
+                assert res.found and abs(res.radius - want) <= 1e-12
+                assert np.array_equal(res.witness, point)
+                assert predict(model, res.witness) != y
+                past_first_chunk += resolution == fine and want > first_chunk_r + 1e-12
+    assert past_first_chunk > 0
+
+
+def _record_scan_rows(monkeypatch) -> list:
+    """Row counts of every ``predict_batch`` call the attack module makes."""
+    rows = []
+
+    def recording(model, queries):
+        rows.append(len(queries))
+        return predict_batch(model, queries)
+
+    monkeypatch.setattr(attack_mod, "predict_batch", recording)
+    return rows
+
+
+def test_grid_moons_hist_scan_is_one_call(monkeypatch):
+    # perfbench's moons_hist scan: histogram, r 0.09 at resolution 8e-3, so
+    # 529 lattice points; shells 1 to 10 hold 440 of them, so shells 1 to 11
+    # go in one call, not one call per shell
+    model = _moons_model("histogram")
+    rows = _record_scan_rows(monkeypatch)
+    # every point far outside the root cube predicts -1, so the scan is clean
+    res = grid_attack(model, [10.0, 10.0], -1, AttackBudget(0.09), resolution=8e-3)
+    assert res.outcome == UNKNOWN
+    assert rows == [528]
+
+
+@pytest.mark.parametrize("d, resolution", [(1, 1e-4), (2, 0.004), (3, 0.012)])
+def test_grid_chunks_are_whole_shells(monkeypatch, d, resolution):
+    model = train_knn(Dataset(np.zeros((1, d)), np.array([1])), k=1)
+    rows = _record_scan_rows(monkeypatch)
+    res = grid_attack(model, np.full(d, 0.5), 1, AttackBudget(0.12), resolution)
+    assert res.outcome == UNKNOWN
+    offsets, ends = _lattice(int(0.12 / resolution + 1e-9), d)
+    assert len(rows) > 2 and sum(rows) == len(offsets) - 1
+    # each chunk ends on a shell boundary, holds at least _GRID_CHUNK rows
+    # unless it is the last, and less than that before its last shell
+    chunk_ends = 1 + np.cumsum(rows)
+    shell_of_end = np.searchsorted(ends, chunk_ends)
+    assert np.array_equal(ends[shell_of_end], chunk_ends)
+    assert all(n >= attack_mod._GRID_CHUNK for n in rows[:-1])
+    last_shell = ends[shell_of_end] - ends[shell_of_end - 1]
+    assert np.all(np.array(rows) - last_shell < attack_mod._GRID_CHUNK)
 
 
 def test_grid_lattice_is_read_only():
@@ -585,7 +646,7 @@ def _cross_check(model, method, seed, budget, resolution, queries=6):
         x = rng.uniform(0.05, 0.95, 2)
         y = predict(model, x)
         res = run_attack(model, x, y, budget, method)
-        g = oracles.grid_misprediction_radius(pfn, x, y, budget.r, resolution)
+        g, _ = oracles.grid_misprediction_radius(pfn, x, y, budget.r, resolution)
         if g is not None:
             # a grid witness is a real adversarial example, so the exact
             # method must find one at most that far away

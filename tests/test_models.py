@@ -15,7 +15,7 @@ from astute_np import (CERTIFIED_ASTUTE, GAUSSIAN, INVERSE_POLY, PLATEAU_EXAMPLE
                        make_model, predict, predict_batch, run_attack, train_histogram,
                        train_kernel, train_knn, weights, weights_batch)
 from astute_np.data import row_blocks
-from astute_np.models import log_kernel
+from astute_np.models import KERNELS, log_kernel
 
 import oracles
 
@@ -137,6 +137,25 @@ def test_predict_batch_memory_is_bounded(family):
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+@pytest.mark.parametrize("kind", KERNELS)
+def test_kernel_weights_batch_memory(kind):
+    # the (300, 3000) result alone takes 6.9 MiB, and the distance blocks up
+    # to 8 MiB more; a dense array beside it, or one per kernel step, breaks
+    # the bound
+    rng = np.random.default_rng(96)
+    ds = Dataset(rng.random((3000, 2)), np.where(rng.random(3000) < 0.5, 1, -1))
+    model = train_kernel(ds, kind=kind)
+    queries = rng.random((300, 2))
+    tracemalloc.start()
+    try:
+        w = weights_batch(model, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.shape == (300, 3000)
+    assert peak < 24 * 2 ** 20
 
 
 def test_knn_by_label_is_the_cached_label_split():
