@@ -123,8 +123,10 @@ def _attack_histogram(model: HistogramModel, x: np.ndarray, y: int, prediction,
 # ---------------------------------------------------------------------------
 # exact 1-NN attack (2-D, L2 neighbors)
 #
-# For an opposite-label training point z, the region where z is the nearest
-# neighbor is a convex polygon: for every same-label point s,
+# The attack reads 1-NN's sites (``KnnModel.by_label``): distinct training
+# locations, each with the label that wins its ties.  For an opposite-label
+# site z, the region where z is the nearest neighbor is a convex polygon: for
+# every same-label site s,
 #       ||p - z||^2 <= ||p - s||^2   <=>   2 (s - z) . p <= |s|^2 - |z|^2.
 # The minimal l-inf distance from x to that polygon is a tiny linear program
 # in (p1, p2, t):  minimize t  s.t.  |p_j - x_j| <= t,  A p <= b.
@@ -150,8 +152,6 @@ def _small_lp(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.nd
     l1 = np.abs(A).sum(axis=1)
     # single-line projections
     for i in range(len(A)):
-        if l1[i] == 0.0:
-            continue
         t = max(0.0, viol[i] / l1[i])
         cand_p.append(x - t * np.sign(A[i]))
     # pairwise intersection vertices
@@ -175,8 +175,9 @@ def _small_lp(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.nd
 def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
                            same_sq: np.ndarray,
                            abort_above: float) -> tuple[float, Optional[np.ndarray]]:
-    """Distance from x to the region where z beats every point in same_pts,
-    whose squared norms are same_sq.
+    """Distance from x to the region where site z beats every site in
+    same_pts, whose squared norms are same_sq.  No site of same_pts lies at
+    z, so every bisector is a proper line.
 
     Returns (distance, optimal point); (inf, None) when the working bound
     proves the distance exceeds ``abort_above``.  Raises RuntimeError when
@@ -188,8 +189,7 @@ def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
     l1_full = np.abs(A_full).sum(axis=1)
 
     # seed the working set with the strongest cut at x
-    margins = np.where(l1_full > 0, (A_full @ x - b_full) / np.where(l1_full > 0, l1_full, 1.0), -np.inf)
-    work = [int(np.argmax(margins))]
+    work = [int(np.argmax((A_full @ x - b_full) / l1_full))]
     # every pass returns or adds a bisector not yet in work, so the loop ends
     # within len(same_pts) passes
     while True:
@@ -201,7 +201,7 @@ def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
         if t > abort_above:
             return np.inf, None
         gaps = A_full @ p - b_full
-        worst = int(np.argmax(np.where(l1_full > 0, gaps / np.where(l1_full > 0, l1_full, 1.0), -np.inf)))
+        worst = int(np.argmax(gaps / l1_full))
         # _small_lp accepted p on every working bisector to _FEASIBLE_TOL, so
         # a worst bisector already in work is met to that tolerance
         if gaps[worst] <= _CONVERGED_TOL or worst in work:
@@ -209,24 +209,15 @@ def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
         work.append(worst)
 
 
-def _loses_every_tie(z: np.ndarray, z_index: int, same_pts: np.ndarray,
-                     same_index: np.ndarray) -> bool:
-    """Whether site z lies at the place of a lower-index point of
-    ``same_pts``.  Such a site loses every tie to that point, so it is never
-    the nearest neighbour; yet its bisector with that point is void, so its
-    polygon is solved as if it could be."""
-    at = np.flatnonzero(same_pts[:, 0] == z[0])
-    return at.size > 0 and bool(np.any((same_index[at] < z_index)
-                                       & (same_pts[at] == z).all(axis=1)))
-
-
 def _attack_nn1(model: KnnModel, x: np.ndarray, y: int, prediction: int,
                 budget: AttackBudget, resolution: float) -> AttackResult:
     """Exact minimal l-inf adversarial radius against 2-D 1-NN.
 
-    Branch and bound over opposite-label training points ordered by a cheap
-    single-halfspace lower bound; each candidate's polygon distance is
-    solved exactly.  The reported radius is the true minimum, up to the
+    Branch and bound over the opposite-label sites of ``model.by_label``,
+    ordered by a cheap single-halfspace lower bound; each candidate's
+    polygon distance is solved exactly.  Coincident training rows are one
+    site with the label of the lowest-index row, so the polygons are those
+    of the 1-NN tie rule.  The reported radius is the true minimum, up to the
     solver's absolute tolerances, whenever it is within budget; otherwise
     the point is certified astute.  Raises RuntimeError when the coordinates
     are too large for those tolerances.
@@ -234,21 +225,20 @@ def _attack_nn1(model: KnnModel, x: np.ndarray, y: int, prediction: int,
     if prediction != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
 
-    zs, zz, z_index = model.by_label[-y]
+    zs, zz = model.by_label[-y]
     if len(zs) == 0:
         return AttackResult(CERTIFIED_ASTUTE)
-    same_pts, same_sq, same_index = model.by_label[y]
+    same_pts, same_sq = model.by_label[y]
 
     # lower bound per z: distance to the single bisector against the
-    # same-label point nearest to x (a superset of the true polygon)
+    # same-label site nearest to x (a superset of the true polygon)
     d_same = np.abs(same_pts[:, 0] - x[0])
     for j in range(1, len(x)):
         d_same = np.maximum(d_same, np.abs(same_pts[:, j] - x[j]))
     s0 = same_pts[int(np.argmin(d_same))]
     A0 = 2.0 * (s0 - zs)
     b0 = float(s0 @ s0) - zz
-    l1 = np.abs(A0).sum(axis=1)
-    lb = np.where(l1 > 0, np.maximum(0.0, (A0 @ x - b0) / np.where(l1 > 0, l1, 1.0)), 0.0)
+    lb = np.maximum(0.0, (A0 @ x - b0) / np.abs(A0).sum(axis=1))
 
     bound = budget.r + budget.tol
     # the loop breaks at the first lb >= bound, so only the sites below it
@@ -261,7 +251,7 @@ def _attack_nn1(model: KnnModel, x: np.ndarray, y: int, prediction: int,
         if lb[zi] >= min(best, bound):
             break
         d, p = _polygon_linf_distance(x, zs[zi], same_pts, same_sq, min(best, bound))
-        if d < best and not _loses_every_tie(zs[zi], z_index[zi], same_pts, same_index):
+        if d < best:
             best, best_p, best_z = d, p, zs[zi]
 
     if best <= bound:

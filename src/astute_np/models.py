@@ -57,16 +57,17 @@ class KnnModel:
 
     @cached_property
     def by_label(self) -> dict:
-        """The training set split by label, ``{label: (points, sq_norms,
-        index)}`` for each label in {+1, -1}: the rows labelled so, in
-        training order, their squared Euclidean norms and their training
-        indices."""
-        pts, labels = self.train.points, self.train.labels
+        """The places 1-NN can take each label from, ``{label: (points,
+        sq_norms)}`` for each label in {+1, -1}.  A site is a distinct
+        training location (``np.unique`` counts 0.0 and -0.0 as one) with
+        the label of its lowest-index row, which wins every tie there;
+        sites keep training order and carry their squared Euclidean norms."""
+        first = np.sort(np.unique(self.train.points, axis=0, return_index=True)[1])
+        sites, labels = self.train.points[first], self.train.labels[first]
         split = {}
         for y in (1, -1):
-            index = np.flatnonzero(labels == y)
-            p = pts[index]
-            split[y] = (p, (p * p).sum(axis=1), index)
+            p = sites[labels == y]
+            split[y] = (p, (p * p).sum(axis=1))
         return split
 
 
@@ -233,8 +234,7 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
         raise ValueError("empty training set")
     if kn is None:
         kn = default_cell_threshold(len(ds))
-    if not kn >= 1:
-        raise ValueError("cell threshold must be >= 1")
+    _require_count("kn", kn)
     pts = ds.points
     d = ds.dim
     if root is not None:

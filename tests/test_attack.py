@@ -311,6 +311,44 @@ def test_nn1_coincident_opposite_labels(path):
             assert predict(model, witness) == -1
 
 
+@pytest.mark.parametrize("path", ["run_attack", "attack_all"])
+def test_nn1_exact_tie_is_found_at_radius_zero(path):
+    """x = (1, 0) is equidistant from the +1 point (index 0) and the -1
+    point, so it takes +1 on the tie; any step toward (2, 0) flips it, so the
+    exact radius is 0.0 and the witness predicts -1.  The grid's first
+    flipped point is one step away."""
+    model = train_knn(Dataset(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1, -1])), k=1)
+    x, budget = np.array([1.0, 0.0]), AttackBudget(0.1)
+    assert predict(model, x) == 1
+    if path == "attack_all":
+        table = attack_all(model, Dataset(x[None], np.array([1])), budget, method="nn1")
+        got, radius, witness = table.outcome[0], table.radius[0], table.witness[0]
+    else:
+        res = run_attack(model, x, 1, budget, "nn1")
+        got, radius, witness = res.outcome, res.radius, res.witness
+    assert got == FOUND
+    assert radius == 0.0
+    assert predict(model, witness) == -1
+    grid = run_attack(model, x, 1, budget, "grid", resolution=0.01)
+    assert grid.found and grid.radius == pytest.approx(0.01) and grid.radius >= radius
+
+
+def test_nn1_attack_ignores_repeated_rows():
+    """Appending every training row again, with its label, changes no
+    prediction, so the exact attack must return the same table."""
+    ds = generate(ScenarioSpec("half_moons", 60, sigma=0.1), RandomStream(40, 0))
+    twice = Dataset(np.concatenate([ds.points, ds.points]),
+                    np.concatenate([ds.labels, ds.labels]))
+    test = generate(ScenarioSpec("half_moons", 12, sigma=0.1), RandomStream(40, 1))
+    budget = AttackBudget(0.15)
+    a = attack_all(train_knn(ds, k=1), test, budget, method="nn1")
+    b = attack_all(train_knn(twice, k=1), test, budget, method="nn1")
+    assert np.array_equal(a.outcome, b.outcome)
+    assert np.array_equal(a.radius, b.radius, equal_nan=True)
+    assert np.array_equal(a.witness, b.witness, equal_nan=True)
+    assert (a.outcome == FOUND).any() and (a.outcome == CERTIFIED_ASTUTE).any()
+
+
 def test_nn1_raises_when_no_witness_flips(monkeypatch):
     # a solved region that no nudge can enter is an error, never a FOUND
     ds = Dataset(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1, -1]))

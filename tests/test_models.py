@@ -159,16 +159,34 @@ def test_kernel_weights_batch_memory(kind):
 
 
 def test_knn_by_label_is_the_cached_label_split():
+    """by_label holds 1-NN's sites: distinct training locations in training
+    order, each with the label of its lowest-index row."""
     ds = _random_ds(96, n=40)
     model = train_knn(ds, k=1)
     assert model.by_label is model.by_label
     assert set(model.by_label) == {1, -1}
     for y in (1, -1):
-        pts, sq, index = model.by_label[y]
+        pts, sq = model.by_label[y]
         expected = ds.points[ds.labels == y]
-        assert np.array_equal(index, np.flatnonzero(ds.labels == y))
         assert np.array_equal(pts, expected)
         assert np.array_equal(sq, (expected * expected).sum(axis=1))
+
+    def sites(points, labels):
+        table = train_knn(Dataset(np.array(points), np.array(labels)), k=1).by_label
+        assert all(len(v) == 2 for v in table.values())
+        return {y: table[y][0].tolist() for y in (1, -1)}
+
+    # repeated same-label rows are one site; sites keep training order
+    assert sites([[2.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, 3.0]], [1, -1, 1, 1]) == {
+        1: [[2.0, 0.0], [0.0, 3.0]], -1: [[1.0, 1.0]]}
+    # an opposite-label coincidence keeps the lower index's label
+    assert sites([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]], [1, -1, -1]) == {
+        1: [[0.5, 0.5]], -1: [[1.0, 0.0]]}
+    assert sites([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]], [-1, 1, -1]) == {
+        1: [], -1: [[0.5, 0.5], [1.0, 0.0]]}
+    # 0.0 and -0.0 are one location
+    assert sites([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0]], [-1, 1, 1, -1]) == {
+        1: [[1.0, -0.0]], -1: [[0.0, 1.0]]}
 
 
 def test_dataset_arrays_are_read_only_copies():
@@ -561,7 +579,10 @@ _EMPTY = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int8))
 @pytest.mark.parametrize("call, error, match", [
     (lambda ds: train_kernel(_EMPTY), ValueError, "empty training set"),
     (lambda ds: train_histogram(_EMPTY), ValueError, "empty training set"),
-    (lambda ds: train_histogram(ds, kn=0), ValueError, "cell threshold must be >= 1"),
+    (lambda ds: train_histogram(ds, kn=0), ValueError, "kn must be an integer >= 1"),
+    (lambda ds: train_histogram(ds, kn=2.5), ValueError, "kn must be an integer >= 1"),
+    (lambda ds: make_model("histogram", ds, kn=10.0), ValueError,
+     "kn must be an integer >= 1"),
     (lambda ds: train_histogram(ds, root=(np.zeros(3), 2.0)), ValueError,
      "root dimension mismatch"),
     (lambda ds: make_model("bogus", ds), ValueError, "unknown model 'bogus'"),
@@ -573,7 +594,8 @@ _EMPTY = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int8))
      TypeError, "unknown model type SimpleNamespace"),
     (lambda ds: predict_batch(types.SimpleNamespace(train=ds), np.zeros((0, 2))),
      TypeError, "unknown model type SimpleNamespace"),
-], ids=["kernel-empty", "histogram-empty", "histogram-kn-0", "histogram-root-dim",
+], ids=["kernel-empty", "histogram-empty", "histogram-kn-0", "histogram-kn-2.5",
+        "make-model-histogram-kn-10.0", "histogram-root-dim",
         "make-model-bogus", "kernel-kind-typo", "weights-batch-non-model",
         "predict-batch-non-model", "predict-batch-non-model-empty"])
 def test_bad_model_arguments_rejected(call, error, match):
