@@ -29,17 +29,9 @@ CERTIFIED_ASTUTE = "certified_astute"
 UNKNOWN = "unknown"
 METHODS = ("auto", "histogram", "nn1", "grid")
 
-# Absolute tolerances of the exact 1-NN solver and the grid scan.  They are
-# absolute, not relative, so they resolve bisectors only while coordinates
-# stay moderate; beyond that the solver raises rather than certify.
-#: x already lies in the polygon when every bisector residual is this small.
-_INSIDE_TOL = 1e-12
-#: two bisector lines with a smaller determinant are treated as parallel.
-_PARALLEL_TOL = 1e-14
-#: a candidate point is feasible when every working residual is this small.
-_FEASIBLE_TOL = 1e-9
-#: the cutting-plane loop has converged when the worst gap is this small.
-_CONVERGED_TOL = 1e-10
+#: the exact 1-NN solver's one tolerance, relative to the numbers it judges
+#: (``_met``, ``_small_lp``), so its verdicts commute with rescaling
+_REL_TOL = 1e-9
 #: r / resolution within this of an integer counts as that integer.
 _STEP_TOL = 1e-12
 
@@ -63,7 +55,7 @@ class CostGuardError(RuntimeError):
 @dataclass(frozen=True)
 class AttackBudget:
     r: float
-    #: absolute slack on the radius: a radius up to r + tol counts as within r
+    #: slack a checker allows a witness past r (the 1-NN witness is nudged); radii use r itself
     tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
@@ -111,7 +103,7 @@ def _attack_histogram(model: HistogramModel, x: np.ndarray, y: int, prediction,
     # already mispredicted
     if best == 0.0 and np.any(np.all(x < hi[dists == 0.0], axis=1)):
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
-    if best <= budget.r + budget.tol:
+    if best <= budget.r:
         # clip into the box, then back off its open upper faces by one ulp;
         # the bounds are the exact split boundaries, so the witness lands in
         # the box with certainty, not merely up to an ulp
@@ -141,11 +133,16 @@ def _attack_histogram(model: HistogramModel, x: np.ndarray, y: int, prediction,
 # once it exceeds the current global bound is sound.
 
 
+def _met(gap, l1, b, p):
+    """Residuals a.p - b count as met up to _REL_TOL (|a|_1 |p|_inf + |b|)."""
+    return gap <= _REL_TOL * (l1 * np.max(np.abs(p)) + np.abs(b))
+
+
 def _small_lp(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact minimizer of linf(x, p) over {A p <= b} (A is small), or
-    (inf, None) when no candidate passes the absolute feasibility test."""
+    (inf, None) when no candidate meets every row by ``_met``."""
     viol = A @ x - b
-    if np.all(viol <= _INSIDE_TOL):
+    if np.all(viol <= 0.0):
         return 0.0, x.copy()
 
     cand_p = []
@@ -157,7 +154,7 @@ def _small_lp(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.nd
     # pairwise intersection vertices
     for i, j in itertools.combinations(range(len(A)), 2):
         det = A[i, 0] * A[j, 1] - A[i, 1] * A[j, 0]
-        if abs(det) < _PARALLEL_TOL:
+        if abs(det) <= _REL_TOL * l1[i] * l1[j]:
             continue
         px = (b[i] * A[j, 1] - b[j] * A[i, 1]) / det
         py = (A[i, 0] * b[j] - A[j, 0] * b[i]) / det
@@ -165,7 +162,7 @@ def _small_lp(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.nd
 
     best_t, best_p = np.inf, None
     for p in cand_p:
-        if np.all(A @ p - b <= _FEASIBLE_TOL):
+        if np.all(_met(A @ p - b, l1, b, p)):
             t = float(np.max(np.abs(p - x)))
             if t < best_t:
                 best_t, best_p = t, p
@@ -181,8 +178,8 @@ def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
 
     Returns (distance, optimal point); (inf, None) when the working bound
     proves the distance exceeds ``abort_above``.  Raises RuntimeError when
-    no candidate of the working set is feasible to the absolute tolerance:
-    the region always contains z, so float64 could not resolve the bisectors.
+    no candidate of the working set meets its bisectors by ``_met``: the
+    region always contains z, so float64 could not resolve the bisectors.
     """
     A_full = 2.0 * (same_pts - z)
     b_full = same_sq - float(z @ z)
@@ -196,15 +193,15 @@ def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
         t, p = _small_lp(x, A_full[work], b_full[work])
         if p is None:
             raise RuntimeError(
-                "exact 1-NN attack: float64 cannot resolve the bisectors at this "
-                "coordinate scale; rescale the data to order 1 or use method 'grid'")
+                "exact 1-NN attack: float64 cannot resolve these nearly coincident "
+                "bisectors; use method 'grid'")
         if t > abort_above:
             return np.inf, None
         gaps = A_full @ p - b_full
         worst = int(np.argmax(gaps / l1_full))
-        # _small_lp accepted p on every working bisector to _FEASIBLE_TOL, so
-        # a worst bisector already in work is met to that tolerance
-        if gaps[worst] <= _CONVERGED_TOL or worst in work:
+        # _small_lp accepted p on every working bisector by _met, so a worst
+        # bisector already in work is met by the same rule
+        if _met(gaps[worst], l1_full[worst], b_full[worst], p) or worst in work:
             return t, p
         work.append(worst)
 
@@ -218,9 +215,9 @@ def _attack_nn1(model: KnnModel, x: np.ndarray, y: int, prediction: int,
     polygon distance is solved exactly.  Coincident training rows are one
     site with the label of the lowest-index row, so the polygons are those
     of the 1-NN tie rule.  The reported radius is the true minimum, up to the
-    solver's absolute tolerances, whenever it is within budget; otherwise
-    the point is certified astute.  Raises RuntimeError when the coordinates
-    are too large for those tolerances.
+    solver's relative tolerance ``_REL_TOL``, whenever it is at most r;
+    otherwise the point is certified astute.  Raises RuntimeError when
+    float64 cannot resolve the bisectors.
     """
     if prediction != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
@@ -240,21 +237,20 @@ def _attack_nn1(model: KnnModel, x: np.ndarray, y: int, prediction: int,
     b0 = float(s0 @ s0) - zz
     lb = np.maximum(0.0, (A0 @ x - b0) / np.abs(A0).sum(axis=1))
 
-    bound = budget.r + budget.tol
-    # the loop breaks at the first lb >= bound, so only the sites below it
-    # are sorted; their stable order is the full order's prefix
-    near = np.flatnonzero(lb < bound)
+    # a site with lb > r cannot be within r, so only the others are sorted;
+    # their stable order is the full order's prefix
+    near = np.flatnonzero(lb <= budget.r)
     best = np.inf
     best_p = None
     best_z = None
     for zi in near[np.argsort(lb[near], kind="stable")]:
-        if lb[zi] >= min(best, bound):
+        if lb[zi] >= best:
             break
-        d, p = _polygon_linf_distance(x, zs[zi], same_pts, same_sq, min(best, bound))
+        d, p = _polygon_linf_distance(x, zs[zi], same_pts, same_sq, min(best, budget.r))
         if d < best:
             best, best_p, best_z = d, p, zs[zi]
 
-    if best <= bound:
+    if best <= budget.r:
         # nudge toward the site whose region was solved: its polygon is
         # convex and contains the site strictly inside every bisector, so any
         # step along that segment flips the prediction; the reported radius

@@ -195,6 +195,9 @@ def convergence_sweep(cfg: SweepConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 # far-weight probes
 
+#: random-stream offsets each probe size owns: three per draw
+_STREAMS_PER_SIZE = 300_000
+
 
 @dataclass(frozen=True)
 class ProbeConfig(_Experiment):
@@ -216,7 +219,8 @@ class ProbeConfig(_Experiment):
                              f"for scenario {self.scenario!r}")
         if not 0 < self.a < self.b:
             raise ValueError("need 0 < a < b")
-        _require_count("draws", self.draws)
+        if _require_count("draws", self.draws) > _STREAMS_PER_SIZE // 3:
+            raise ValueError(f"draws must be at most {_STREAMS_PER_SIZE // 3}, got {self.draws}")
         _require_count("boundary_candidates", self.boundary_candidates)
         _require_count("interior_candidates", self.interior_candidates, least=0)
         if self.prune_r is not None and self.fixed_x is not None:
@@ -274,7 +278,7 @@ def probe_far_weight(cfg: ProbeConfig) -> ProbeResult:
     for i, n in enumerate(cfg.sizes):
         vals = np.empty(cfg.draws)
         for j in range(cfg.draws):
-            stream = i * 300000 + 3 * j
+            stream = i * _STREAMS_PER_SIZE + 3 * j
             model = cfg.fit(generate(cfg.spec(n), root.child(stream)))
             if cfg.prune_r is not None:
                 queries = model.train.points

@@ -216,14 +216,15 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
 
     The root cell is the axis-aligned data bounding cube (min corner at the
     per-dimension minimum, side equal to the largest extent inflated by
-    1 + 1e-9 so every point is strictly interior), unless an explicit
-    ``root = (lo, side)`` is given, e.g. a known domain like ([0], 1).
-    Explicit roots are used exactly as provided and must cover every training
-    point (half-open: lo <= x < lo + side per coordinate).  Any
-    cell holding strictly more than ``kn`` points is split into 2^d equal
-    half-open children.  Splitting also stops when a cell's occupants are all
-    coincident or its side underflows, which keeps duplicated points (point
-    masses) from splitting forever.  Leaves are numbered in depth-first
+    1 + 1e-9, and by at least 4 ulps of the largest coordinate magnitude, so
+    every point is strictly interior), unless an explicit ``root = (lo,
+    side)`` is given, e.g. a known domain like ([0], 1).  Explicit roots are
+    used exactly as provided and must cover every training point (half-open:
+    lo <= x < lo + side per coordinate).  Any cell holding strictly more than
+    ``kn`` points is split into 2^d equal half-open children.  Splitting also
+    stops when a cell's occupants are all coincident (point masses) or its
+    midpoint no longer lies strictly inside it in every coordinate, the
+    float64 limit at any scale.  Leaves are numbered in depth-first
     order, children in ascending order of their bit code (bit j set for the
     upper half in coordinate j).  The split tree is kept as well (each
     node's split point and first child, each leaf node's leaf id, the
@@ -250,7 +251,7 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
     else:
         lo = pts.min(axis=0)
         extent = float((pts.max(axis=0) - lo).max())
-        side = extent * (1.0 + 1e-9) if extent > 0 else 1e-9
+        side = max(extent * (1.0 + 1e-9), extent + 4 * float(np.spacing(np.abs(pts).max())))
 
     leaf_lo, leaf_hi, leaf_side, leaf_vote, leaf_members = [], [], [], [], []
     # every node starts as a leaf (NaN mid, its own first child) and is
@@ -270,7 +271,7 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
         node, level, clo, chi, cside, idx = stack.pop()
         depth = max(depth, level)
         sub = pts[idx]
-        if not (len(idx) > kn and cside > 1e-12
+        if not (len(idx) > kn and np.all((clo < (mid := clo + cside / 2.0)) & (mid < chi))
                 and float(np.max(sub.max(axis=0) - sub.min(axis=0))) > 0.0):
             node_leaf[node] = len(leaf_lo)
             leaf_lo.append(clo)
@@ -279,10 +280,9 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
             leaf_vote.append(int(ds.labels[idx].sum()) if len(idx) else 0)
             leaf_members.append(idx)
             continue
-        half = cside / 2.0
-        # the children's boxes meet exactly at this float value, which both
-        # the split and every later lookup compare against
-        mid = node_mid[node] = clo + half
+        # the children's boxes meet exactly at mid, which both the split and
+        # every later lookup compare against
+        node_mid[node] = mid
         first = node_first[node] = len(node_first)
         node_first.extend(range(first, first + (1 << d)))
         node_mid.extend([nan_mid] * (1 << d))
@@ -290,7 +290,7 @@ def train_histogram(ds: Dataset, kn: Optional[int] = None,
         # the child code that ``leaf_index`` computes
         code = (sub >= mid) @ code_weight
         stack.extend((first + c, level + 1, np.where(bits, mid, clo), np.where(bits, chi, mid),
-                      half, idx[code == c])
+                      cside / 2.0, idx[code == c])
                      for c, bits in push_order)
 
     return HistogramModel(

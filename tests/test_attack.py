@@ -218,7 +218,7 @@ def test_histogram_attack_matches_brute_force_radius(d):
             for y in (1, -1):
                 res = run_attack(model, x, y, budget, "histogram")
                 want = oracles.histogram_attack_radius(model, x, y)
-                assert res.found == (want <= budget.r + budget.tol)
+                assert res.found == (want <= budget.r)
                 if res.found:
                     assert res.radius == pytest.approx(want, abs=1e-12)
 
@@ -402,29 +402,23 @@ def test_nn1_radius_independent_of_budget():
             assert b is not None or a is None
 
 
-def test_nn1_large_coordinates_raise_or_agree():
-    """Mapping p -> 1e4 p + 5e4 (and r with it) must never change a verdict
-    or a radius silently: each point either agrees with the unscaled attack
-    or raises because float64 cannot resolve its bisectors."""
+def test_nn1_affine_map_agrees():
+    """Mapping p -> scale p + shift (and r with it) changes no verdict on any
+    of 200 points, and each radius only by rounding: the solver's tolerance
+    is relative, so neither large nor tiny coordinates make it raise."""
     train = generate(ScenarioSpec("half_moons", 600, sigma=0.08), RandomStream(0, 0))
     test = generate(ScenarioSpec("half_moons", 200, sigma=0.08), RandomStream(0, 1))
-    r, scale, shift = 0.09, 1e4, 5e4
+    r = 0.09
     model = train_knn(train, k=1)
-    big = train_knn(Dataset(train.points * scale + shift, train.labels), k=1)
-    agreed = 0
-    for x, y in zip(test.points, test.labels):
-        want = run_attack(model, x, int(y), AttackBudget(r), "nn1")
-        try:
-            got = run_attack(big, x * scale + shift, int(y), AttackBudget(r * scale), "nn1")
-        except RuntimeError as exc:
-            assert "float64" in str(exc)
-            continue
-        assert got.outcome == want.outcome
-        if got.found:
-            assert abs(got.radius / scale - want.radius) <= 1e-9 * r
-        agreed += 1
-    # an attack that always raised would pass vacuously; 147 of 200 agree
-    assert agreed >= 100
+    wants = [run_attack(model, x, int(y), AttackBudget(r), "nn1")
+             for x, y in zip(test.points, test.labels)]
+    for scale, shift in ((1e4, 5e4), (1e-6, 3e-6)):
+        mapped = train_knn(Dataset(train.points * scale + shift, train.labels), k=1)
+        for x, y, want in zip(test.points, test.labels, wants):
+            got = run_attack(mapped, x * scale + shift, int(y), AttackBudget(r * scale), "nn1")
+            assert got.outcome == want.outcome
+            if got.found:
+                assert abs(got.radius / scale - want.radius) <= 1e-9 * r
 
 
 # ---------------------------------------------------------------------------

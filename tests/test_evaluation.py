@@ -297,6 +297,11 @@ def test_probe_validation():
         probe_far_weight(ProbeConfig(a=0.0, b=0.1))
     with pytest.raises(ValueError):
         probe_far_weight(ProbeConfig(draws=0))
+    # each size owns 300,000 random streams, three per draw; more draws would
+    # share a stream with the next size's draws
+    with pytest.raises(ValueError, match="draws"):
+        ProbeConfig(draws=100_001)
+    ProbeConfig(draws=100_000)
     with pytest.raises(ValueError):
         probe_far_weight(ProbeConfig(sizes=()))
     # counts must be integers; a float fails in the config, not in numpy

@@ -377,6 +377,27 @@ def test_histogram_coincident_points_terminate():
     assert predict(model, [0.0, 0.0]) == 1
 
 
+@pytest.mark.parametrize("shift", [1.0, 1e6])
+def test_histogram_default_root_covers_data_far_from_origin(shift):
+    # an extent of 3e-9 inflated by 1 + 1e-9 grows by less than half an ulp
+    # of the coordinates, so the root also needs a few ulps on top
+    ds = Dataset(shift + np.array([[0.0], [1e-9], [2e-9], [3e-9]]), np.ones(4, dtype=int))
+    model = train_histogram(ds)
+    assert np.all(model.leaf_index(ds.points) >= 0)
+    assert np.all(predict_batch(model, ds.points) == 1)
+    moons = generate(ScenarioSpec("half_moons", 300, sigma=0.05), RandomStream(0, 0))
+    model = train_histogram(Dataset(moons.points * 1e-9 + 1e3, moons.labels))
+    assert np.all(model.leaf_index(model.train.points) >= 0)
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0, 2.0 ** 60])
+def test_histogram_point_mass_root_scales_with_the_point(mass):
+    ds = Dataset(np.full((3, 2), mass), np.array([1, 1, -1]))
+    model = train_histogram(ds, kn=1)
+    assert 0 < model.root_side <= 8 * np.spacing(mass)
+    assert np.all(model.leaf_index(ds.points) == 0) and len(model.leaf_lo) == 1
+
+
 def test_histogram_explicit_root_override():
     ds = generate(ScenarioSpec("example2", 4000), RandomStream(0, 0))
     model = train_histogram(ds, root=(np.array([0.0]), 1.0))
