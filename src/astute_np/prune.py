@@ -19,6 +19,8 @@ from .data import Dataset, require_positive
 
 #: +1 points per sweep block in ``build_conflict_graph``.
 _BLOCK = 256
+#: Edges per block in ``_edge_blocks``: caps the matching's temporaries.
+_EDGE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -90,34 +92,71 @@ def build_conflict_graph(ds: Dataset, r: float) -> ConflictGraph:
             # rounding is monotone, so the bound carries over with no pad.
             win = np.flatnonzero((x0.min() - r0 <= two_r) & (r0 - x0.max() <= two_r))
             pts, cols = lp[blk], rp[win]
-            close = np.abs(pts[:, :1] - cols[:, 0]) <= two_r
-            for j in range(1, ds.dim):
-                close &= np.abs(pts[:, j:j + 1] - cols[:, j]) <= two_r
-            # np.nonzero walks rows in order and win is ascending, so each
-            # row's run is its ascending neighbour list
-            runs.append(win.astype(np.int32)[np.nonzero(close)[1]])
+            gap = np.empty((len(blk), len(win)))
+            close = np.ones(gap.shape, dtype=bool)
+            for j in range(ds.dim):
+                np.subtract(pts[:, j:j + 1], cols[:, j], out=gap)
+                close &= np.abs(gap, out=gap) <= two_r
+            del gap     # before the next block allocates its own
+            # a mask walks rows in order and win is ascending, so each row's
+            # run is its ascending neighbour list
+            runs.append((blk, np.broadcast_to(win.astype(np.int32), close.shape)[close]))
             counts[blk] = np.count_nonzero(close, axis=1)
         np.cumsum(counts, out=indptr[1:])
-        # the runs follow the sweep order; seg[u] is where u's run starts,
-        # so one gather moves every run to its row's slot
-        seg = np.empty_like(counts)
-        seg[order] = np.cumsum(counts[order]) - counts[order]
-        gather = np.repeat(seg - indptr[:-1], counts)
-        gather += np.arange(len(gather))
-        indices = np.concatenate(runs)[gather]
+        # each block's run holds its rows' lists one after another, so it
+        # scatters to those rows' edge ids; a run is freed once placed
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        while runs:
+            (blk, run), at = runs.pop(), 0
+            for edge, _ in _edge_blocks(indptr, blk):
+                indices[edge] = run[at:at + len(edge)]
+                at += len(edge)
     return ConflictGraph(left, right, indptr, indices)
 
 
-def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _edge_blocks(indptr: np.ndarray, rows: np.ndarray):
     """The edge ids (positions in ``indices``) of ``rows``, row after row,
-    and each row's edge count.  Edge ids are int32 while they fit, as the
+    and each edge's row, in blocks of at most ``_EDGE_BLOCK`` edges; a block
+    may end inside a row.  Ids and rows are int32 while the ids fit, as the
     graph's indices are."""
     eid = np.int32 if indptr[-1] <= np.iinfo(np.int32).max else np.intp
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
-    edge = np.repeat((starts - (np.cumsum(counts) - counts)).astype(eid), counts)
-    edge += np.arange(len(edge), dtype=eid)
-    return edge, counts
+    ends = np.cumsum(counts)
+    # an edge's id is its position in the run of all rows' edges plus its
+    # row's shift
+    shift = (starts - (ends - counts)).astype(eid)
+    rows = rows.astype(eid)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, _EDGE_BLOCK):
+        hi = min(lo + _EDGE_BLOCK, total)
+        a = np.searchsorted(ends, lo, side="right")
+        b = np.searchsorted(ends, hi, side="left") + 1
+        take = np.minimum(ends[a:b], hi) - np.maximum(ends[a:b] - counts[a:b], lo)
+        edge = np.repeat(shift[a:b], take)
+        edge += np.arange(lo, hi, dtype=eid)
+        yield edge, np.repeat(rows[a:b], take)
+
+
+def _greedy_matching(g: ConflictGraph) -> tuple[list, list]:
+    """Hopcroft-Karp's first phase.  It starts from the empty matching, so
+    every left vertex is a root on layer 0 and every right vertex is free:
+    each augmenting path is one edge, and the depth-first search from the
+    roots in ascending order gives each left vertex its lowest free
+    neighbour."""
+    pair_l = [-1] * len(g.left)
+    pair_r = [-1] * len(g.right)
+    taken = np.zeros(len(g.right), dtype=bool)
+    ends = g.indptr.tolist()
+    for u, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+        row = g.indices[a:b]
+        free = row[~taken[row]]
+        if len(free):
+            v = int(free[0])
+            taken[v] = True
+            pair_l[u] = v
+            pair_r[v] = u
+    return pair_l, pair_r
 
 
 def _alternating_layers(g: ConflictGraph, pair_l, pair_r) -> tuple[np.ndarray, list]:
@@ -125,15 +164,17 @@ def _alternating_layers(g: ConflictGraph, pair_l, pair_r) -> tuple[np.ndarray, l
     vertices: non-matching edges to the right, matching edges back.
 
     Returns ``(dist, admissible)``: each left vertex's layer (``inf`` when
-    unreached), and per layer the edges an augmenting path can follow out
-    of it.  An edge is admissible when its right vertex is free, or when
-    that vertex's partner is placed in the next layer; ``admissible[L]``
-    holds such edges out of layer L as ``(edge ids, sources, partners)``.
-    A free right vertex's partner is the sentinel ``len(g.left)``, a left
-    vertex that is never placed.  A whole layer is expanded at once; layer
-    numbers do not depend on the order vertices are visited in.
+    unreached), and the edges an augmenting path can follow out of each
+    layer.  An edge is admissible when its right vertex is free, or when
+    that vertex's partner is placed in the next layer.  A free right
+    vertex's partner is the sentinel ``len(g.left)``, a left vertex that is
+    never placed.  Each layer's frontier is expanded in ``_edge_blocks``,
+    and ``admissible`` is the list of ``(edge ids, sources, partners)``
+    each block keeps, layer after layer.  A layer's partners are placed
+    only after all of its blocks, so which edges are admissible does not
+    depend on the block size; nor do the layer numbers depend on the order
+    vertices are visited in.
     """
-    indptr, indices = g.indptr, g.indices
     nl = len(g.left)
     partner = np.asarray(pair_r, dtype=np.int32)
     partner[partner < 0] = nl
@@ -145,22 +186,24 @@ def _alternating_layers(g: ConflictGraph, pair_l, pair_r) -> tuple[np.ndarray, l
     admissible = []
     layer = 0
     while frontier.size:
-        edge, counts = _row_edges(indptr, frontier)
-        # np.take gathers by int32 ids without first copying them to intp
-        w = np.take(partner, np.take(indices, edge))
-        ok = np.take(unplaced, w)
-        w = w[ok]
+        first = len(admissible)
+        for edge, src in _edge_blocks(g.indptr, frontier):
+            # np.take gathers by int32 ids without first copying them to intp
+            w = np.take(partner, np.take(g.indices, edge))
+            ok = np.take(unplaced, w)
+            admissible.append((edge[ok], src[ok], w[ok]))
         layer += 1
-        dist[w] = layer
-        unplaced[w] = False
+        for _, _, w in admissible[first:]:
+            dist[w] = layer
+            unplaced[w] = False
         unplaced[nl] = True     # the sentinel is placed with the rest; undo it
-        admissible.append((edge[ok], np.repeat(frontier.astype(np.int32), counts)[ok], w))
         frontier = np.flatnonzero(dist[:nl] == layer)
     return dist[:nl], admissible
 
 
 def _live_edges(g: ConflictGraph, dist: np.ndarray, admissible: list) -> tuple[list, list, np.ndarray]:
-    """One phase's DFS graph: ``(dist, ptr, flat)``.
+    """One phase's DFS graph: ``(dist, ptr, flat)``.  ``admissible`` is
+    emptied as it is read.
 
     A vertex is alive when an admissible edge takes it to a free vertex or
     to an alive partner; the layers are walked top-down, so each partner is
@@ -187,35 +230,28 @@ def _live_edges(g: ConflictGraph, dist: np.ndarray, admissible: list) -> tuple[l
     alive = np.zeros(nl + 1, dtype=bool)
     alive[nl] = True        # the free vertices' sentinel partner
     kept = []
-    for ids, src, w in reversed(admissible):
+    while admissible:
+        # a block's partners lie one layer above its sources
+        ids, src, w = admissible.pop()
         go = np.take(alive, w)
         alive[src[go]] = True
         kept.append(ids[go])
     dist[~alive[:nl]] = np.inf
-    ids = np.sort(np.concatenate(kept))
+    ids = np.concatenate(kept)
+    del kept
+    ids.sort()
     ptr = np.searchsorted(ids, g.indptr.astype(ids.dtype))
     return dist.tolist(), ptr.tolist(), np.take(g.indices, ids)
 
 
-def max_matching(g: ConflictGraph) -> tuple[list, list]:
-    """Hopcroft-Karp maximum matching.
-
-    Returns (pair_left, pair_right) position arrays with -1 for unmatched.
-    Free vertices are processed in ascending position order and neighbour
-    lists are ascending, so the result is deterministic.
-    """
-    return _hopcroft_karp(g)[:2]
-
-
-def _hopcroft_karp(g: ConflictGraph) -> tuple[list, list, np.ndarray, np.ndarray]:
-    """``max_matching``'s pairs, then the ``(dist, seen_r)`` of the final
-    alternating search, the one that found no augmenting path."""
-    nl, nr = len(g.left), len(g.right)
-    pair_l = [-1] * nl
-    pair_r = [-1] * nr
+def _augment(pair_l: list, pair_r: list, dist: list, ptr: list, flat: np.ndarray) -> None:
+    """One phase's depth-first searches over ``_live_edges``'s graph, from
+    the free left vertices in ascending order."""
     INF = float("inf")
-
-    def dfs(root: int) -> None:
+    for root in range(len(pair_l)):
+        # a dead free root has dist inf and is skipped
+        if pair_l[root] != -1 or dist[root] != 0:
+            continue
         # depth-first search kept on an explicit stack of (vertex, neighbour
         # iterator), so an augmenting path may outgrow the recursion limit;
         # via[i] is the right vertex leading from stack[i] to stack[i + 1]
@@ -230,7 +266,8 @@ def _hopcroft_karp(g: ConflictGraph) -> tuple[list, list, np.ndarray, np.ndarray
                     for (a, _), b in zip(stack, via):
                         pair_l[a] = b
                         pair_r[b] = a
-                    return
+                    stack = []      # augmented: this root is done
+                    break
                 if dist[w] == dist[u] + 1:
                     via.append(v)
                     stack.append((w, iter(flat[ptr[w]:ptr[w + 1]].tolist())))
@@ -241,18 +278,31 @@ def _hopcroft_karp(g: ConflictGraph) -> tuple[list, list, np.ndarray, np.ndarray
                 if via:
                     via.pop()
 
+
+def max_matching(g: ConflictGraph) -> tuple[list, list]:
+    """Hopcroft-Karp maximum matching.
+
+    Returns (pair_left, pair_right) position arrays with -1 for unmatched.
+    The first phase is ``_greedy_matching``; each later phase runs
+    ``_alternating_layers``, ``_live_edges`` and the depth-first searches,
+    and drops its temporaries before the next phase builds its own.  Free
+    vertices are processed in ascending position order and neighbour lists
+    are ascending, so the result is deterministic.
+    """
+    return _hopcroft_karp(g)[:2]
+
+
+def _hopcroft_karp(g: ConflictGraph) -> tuple[list, list, np.ndarray]:
+    """``max_matching``'s pairs, then the layers of the final alternating
+    search, the one that found no augmenting path."""
+    nl = len(g.left)
+    pair_l, pair_r = _greedy_matching(g)
     while True:
         layers, admissible = _alternating_layers(g, pair_l, pair_r)
         # a phase augments only while some reached edge ends at a free vertex
         if not any((w == nl).any() for _, _, w in admissible):
-            seen_r = np.zeros(nr, dtype=bool)
-            seen_r[np.take(g.indices, _row_edges(g.indptr, np.flatnonzero(layers < INF))[0])] = True
-            return pair_l, pair_r, layers, seen_r
-        dist, ptr, flat = _live_edges(g, layers, admissible)
-        for u in range(nl):
-            # a dead free root has dist inf and is skipped
-            if pair_l[u] == -1 and dist[u] == 0:
-                dfs(u)
+            return pair_l, pair_r, layers
+        _augment(pair_l, pair_r, *_live_edges(g, layers, admissible))
 
 
 def adv_prune(ds: Dataset, r: float) -> PrunedSet:
@@ -263,12 +313,16 @@ def adv_prune(ds: Dataset, r: float) -> PrunedSet:
     maximum independent set is the reachable left side plus the unreachable
     right side.  Isolated vertices are unmatched and unreachable-from-nothing
     as appropriate, so they are always kept.  The matching's last, failed
-    phase search is that BFS, so its layers are reused.
+    phase search is that BFS, so its layers are reused.  That search reached
+    no free right vertex, so the right vertices it reached are exactly those
+    whose partner it reached, and no edge is read again.
     """
     g = build_conflict_graph(ds, r)
-    pair_l, _, dist, seen_r = _hopcroft_karp(g)
+    pair_l, pair_r, dist = _hopcroft_karp(g)
     matched = sum(1 for v in pair_l if v != -1)
-    kept = np.concatenate([g.left[dist < np.inf], g.right[~seen_r]]).astype(int)
+    # a free right vertex's partner -1 reads the appended False
+    reached = np.append(dist < np.inf, False)
+    kept = np.concatenate([g.left[reached[:-1]], g.right[~reached[pair_r]]]).astype(int)
     kept.sort()
     assert len(kept) == len(ds) - matched
     return PrunedSet(kept=kept, matching_size=matched, n=len(ds))

@@ -140,6 +140,13 @@ def test_dataset_validation():
         Dataset(np.array([[np.inf, 0.0]]), np.array([1]))
 
 
+def test_dataset_reshapes_1d_points_to_a_column():
+    ds = Dataset(np.array([0.5, -1.0, 2.0]), np.array([1, -1, 1]))
+    assert ds.points.shape == (3, 1)
+    assert ds.dim == 1
+    assert np.array_equal(ds.points[:, 0], [0.5, -1.0, 2.0])
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         ScenarioSpec("mystery", 5)
@@ -320,6 +327,14 @@ def test_csv_errors_name_line(tmp_path, content, fragment):
     path.write_text(content)
     with pytest.raises(ValueError, match=fragment):
         read_csv(path)
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n0.5,1.5,+1\n   \n\n-2.0,0.25,-1\n\n")
+    ds = read_csv(path)
+    assert np.array_equal(ds.points, [[0.5, 1.5], [-2.0, 0.25]])
+    assert np.array_equal(ds.labels, [1, -1])
 
 
 def test_csv_empty_file(tmp_path):

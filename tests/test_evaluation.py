@@ -11,6 +11,7 @@ from astute_np import (FOUND, PLATEAU_EXAMPLE3, AttackBudget, Dataset,
                        convergence_sweep, empirical_astuteness, generate,
                        predict, probe_far_weight, run_attack, train_histogram,
                        train_kernel, train_knn)
+from astute_np import evaluation
 from astute_np.evaluation import SWEEP_CSV_HEADER
 
 import oracles
@@ -205,6 +206,17 @@ def test_sweep_rejects_non_integer_thread_count(monkeypatch):
     monkeypatch.setenv("ASTUTE_NP_THREADS", "abc")
     with pytest.raises(ValueError, match="ASTUTE_NP_THREADS must be an integer, got 'abc'"):
         convergence_sweep(_tiny_cfg())
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_worker_count_non_positive_means_every_cpu(monkeypatch, raw):
+    # calls the private helper directly, so no process pool starts
+    monkeypatch.setenv("ASTUTE_NP_THREADS", raw)
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: 3)
+    assert evaluation._worker_count(10) == 3
+    assert evaluation._worker_count(2) == 2
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: None)
+    assert evaluation._worker_count(10) == 1
 
 
 def test_sweep_parallel_matches_serial(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from astute_np import (LINF, ConflictGraph, Dataset, RandomStream, ScenarioSpec,
                        adv_prune, build_conflict_graph, generate, max_matching,
                        pairwise_distances, train_knn)
+from astute_np import prune
 
 import oracles
 
@@ -245,16 +246,45 @@ def test_matching_matches_reference_on_data():
 
 
 def test_adv_prune_memory_is_bounded():
-    # overlapping half-moons: about 1.6 M conflict edges, which as Python
-    # adjacency lists alone would take about 58 MiB
+    # overlapping half-moons: about 1.5 M conflict edges.  The graph holds 4
+    # bytes per edge; the matching's temporaries are edge-blocked, so the
+    # peak stays within 12 bytes per edge
     ds = generate(ScenarioSpec("half_moons", 12000, sigma=0.3), RandomStream(7, 1))
+    edges = build_conflict_graph(ds, 0.1).indptr[-1]
     tracemalloc.start()
     try:
         adv_prune(ds, 0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 2 ** 20
+    assert peak <= 12 * edges
+
+
+def _random_graph(seed, nl, nr, p):
+    rng = np.random.default_rng(seed)
+    return _graph([np.flatnonzero(rng.random(nr) < p).tolist() for _ in range(nl)], nr)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_edge_block_boundaries_keep_pairs_and_kept(monkeypatch, block):
+    # the alternating search and the graph build cut their edge lists into
+    # blocks of prune._EDGE_BLOCK edges; with blocks of 1 and 7 edges, rows
+    # split across blocks, yet the pairs, the graph and the kept set match
+    graphs = [_random_graph(900 + s, 60, 50, p) for s, p in enumerate((0.02, 0.1, 0.4))]
+    graphs += [_random_graph(910 + s, 200, 180, 3.0 / 180) for s in range(2)]
+    chains = [_chain(300).subset(np.random.default_rng(s).permutation(602)) for s in range(2)]
+    chains.append(_chain(2000))
+    data = [_random_ds(17, n=300, box=0.5), *chains]
+    default = [(build_conflict_graph(ds, 0.1), adv_prune(ds, 0.1)) for ds in data]
+    monkeypatch.setattr(prune, "_EDGE_BLOCK", block)
+    for g in graphs:
+        _assert_matches_reference(g)
+    for ds, (g, pruned) in zip(data, default):
+        small = build_conflict_graph(ds, 0.1)
+        assert np.array_equal(small.indptr, g.indptr)
+        assert np.array_equal(small.indices, g.indices)
+        _assert_matches_reference(small)
+        assert np.array_equal(adv_prune(ds, 0.1).kept, pruned.kept)
 
 
 # ---------------------------------------------------------------------------
