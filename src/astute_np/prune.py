@@ -29,7 +29,8 @@ class ConflictGraph:
     rows.
 
     ``left`` / ``right`` hold original training indices of the +1 and -1
-    points.  The right-side positions in conflict with left position i are
+    points, each side in sweep order: ascending first coordinate, ties by
+    index.  The right-side positions in conflict with left position i are
     ``indices[indptr[i]:indptr[i + 1]]``, ascending; ``indices`` is int32,
     four bytes per edge.
     """
@@ -65,53 +66,45 @@ def build_conflict_graph(ds: Dataset, r: float) -> ConflictGraph:
     """Edges join opposite-label pairs at l-inf distance <= 2r (closed
     condition, no epsilon: equality is a conflict).
 
-    The +1 points are swept in blocks of ``_BLOCK`` by their first
-    coordinate, and each block is tested only against the -1 points whose
-    first coordinate lies within 2r of the block's range.  The edges are
-    exactly those of the dense rule ``pairwise_distances(LINF, lp, rp) <= 2r``.
+    Both sides are in sweep order, and the +1 points are swept in blocks of
+    ``_BLOCK`` rows.  A block is tested only against its window, the run of
+    -1 points left once the prefix with ``x0min - r0 > 2r`` and the suffix
+    with ``r0 - x0max > 2r`` are cut off (``x0`` the block's first
+    coordinates, ``r0`` the -1 side's).  The edges are exactly those of the
+    dense rule ``pairwise_distances(LINF, lp, rp) <= 2r``.
     """
     require_positive("r", r)
     two_r = 2.0 * r
-    left = np.flatnonzero(ds.labels == 1)
-    right = np.flatnonzero(ds.labels == -1)
-    counts = np.zeros(len(left), dtype=np.intp)
+    left, right = (np.flatnonzero(ds.labels == y) for y in (1, -1))
+    left, right = (s[np.argsort(ds.points[s, 0], kind="stable")] for s in (left, right))
+    lp, rp = ds.points[left], ds.points[right]
+    r0 = rp[:, 0]
     indptr = np.zeros(len(left) + 1, dtype=np.intp)
-    indices = np.zeros(0, dtype=np.int32)
-    if len(left) and len(right):
-        lp = ds.points[left]
-        rp = ds.points[right]
-        r0 = rp[:, 0]
-        order = np.argsort(lp[:, 0], kind="stable")
-        runs = []
+    runs = [np.zeros(0, dtype=np.int32)]    # so a graph with no rows concatenates
+    # a gap between finite coordinates near the float limits may overflow to
+    # inf, which exceeds 2r: no conflict, which is right, and not a warning
+    with np.errstate(over="ignore"):
         for start in range(0, len(left), _BLOCK):
-            blk = order[start:start + _BLOCK]
-            x0 = lp[blk, 0]
-            # The window holds every conflict of the block: a conflict needs
-            # fl(|l0 - r0|) <= 2r; the window tests the same float
-            # subtraction from the block's extreme first coordinate, and
-            # rounding is monotone, so the bound carries over with no pad.
-            win = np.flatnonzero((x0.min() - r0 <= two_r) & (r0 - x0.max() <= two_r))
-            pts, cols = lp[blk], rp[win]
-            gap = np.empty((len(blk), len(win)))
+            pts = lp[start:start + _BLOCK]
+            # r0 ascends, so the -1 points too far below the block are a
+            # prefix and those too far above it a suffix.  Each cut makes the
+            # edge test's float subtraction from the block's extreme first
+            # coordinate, and rounding is monotone, so it cuts no conflict.
+            a = np.count_nonzero(pts[0, 0] - r0 > two_r)
+            b = len(r0) - np.count_nonzero(r0 - pts[-1, 0] > two_r)
+            cols = rp[a:b]
+            gap = np.empty((len(pts), len(cols)))
             close = np.ones(gap.shape, dtype=bool)
             for j in range(ds.dim):
                 np.subtract(pts[:, j:j + 1], cols[:, j], out=gap)
                 close &= np.abs(gap, out=gap) <= two_r
             del gap     # before the next block allocates its own
-            # a mask walks rows in order and win is ascending, so each row's
-            # run is its ascending neighbour list
-            runs.append((blk, np.broadcast_to(win.astype(np.int32), close.shape)[close]))
-            counts[blk] = np.count_nonzero(close, axis=1)
-        np.cumsum(counts, out=indptr[1:])
-        # each block's run holds its rows' lists one after another, so it
-        # scatters to those rows' edge ids; a run is freed once placed
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        while runs:
-            (blk, run), at = runs.pop(), 0
-            for edge, _ in _edge_blocks(indptr, blk):
-                indices[edge] = run[at:at + len(edge)]
-                at += len(edge)
-    return ConflictGraph(left, right, indptr, indices)
+            # a mask walks rows in order and the columns ascend, so the run
+            # is the block's rows' ascending neighbour lists, one after another
+            runs.append(np.broadcast_to(np.arange(a, b, dtype=np.int32), close.shape)[close])
+            indptr[start + 1:start + 1 + len(pts)] = np.count_nonzero(close, axis=1)
+    np.cumsum(indptr, out=indptr)
+    return ConflictGraph(left, right, indptr, np.concatenate(runs))
 
 
 def _edge_blocks(indptr: np.ndarray, rows: np.ndarray):

@@ -51,12 +51,12 @@ def test_conflict_at_exactly_two_r():
     assert build_conflict_graph(ds, 0.0999).indptr[-1] == 0
 
 
-def _dense_adj(ds, r, metric):
-    """Adjacency lists of the all-pairs rule the sweep must reproduce.  The
-    sweep tests pass the conflict metric, l-inf, as a one-value parameter,
-    so each case keeps its ``linf`` id."""
-    close = pairwise_distances(metric, ds.points[ds.labels == 1],
-                               ds.points[ds.labels == -1]) <= 2.0 * r
+def _dense_adj(ds, g, r, metric):
+    """Adjacency lists of the all-pairs rule the sweep must reproduce, over
+    ``g``'s sides in ``g``'s order.  The sweep tests pass the conflict
+    metric, l-inf, as a one-value parameter, so each case keeps its
+    ``linf`` id."""
+    close = pairwise_distances(metric, ds.points[g.left], ds.points[g.right]) <= 2.0 * r
     return [np.flatnonzero(row).tolist() for row in close]
 
 
@@ -65,7 +65,7 @@ def _assert_sweep_exact(ds, r, metric, oracle=True):
     assert g.indices.dtype == np.int32
     assert len(g.indptr) == len(g.left) + 1
     if (ds.labels == 1).any() and (ds.labels == -1).any():
-        assert g.adj == _dense_adj(ds, r, metric)
+        assert g.adj == _dense_adj(ds, g, r, metric)
     else:
         assert g.adj == [[]] * len(g.left)
     if oracle:
@@ -98,7 +98,7 @@ def test_sweep_exact_across_blocks_and_offsets(metric, offset, r):
     ds = _lattice_chain(1200, 2, r, offset, seed=1)
     g = _assert_sweep_exact(ds, r, metric, oracle=False)
     if r == 0.125:
-        u, v = np.searchsorted(g.left, 509), np.searchsorted(g.right, 511)
+        (u,), (v,) = np.flatnonzero(g.left == 509), np.flatnonzero(g.right == 511)
         assert ds.points[g.right[v], 0] - ds.points[g.left[u], 0] == 2 * r
         assert v in g.adj[u]
 
@@ -133,6 +133,22 @@ def test_sweep_one_class(metric, label):
     assert g.indptr[-1] == 0
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_extreme_coordinates(seed):
+    # gaps between coordinates at +-1e308 overflow to inf, which is no
+    # conflict; ties at the same extreme coordinate still conflict
+    rng = np.random.default_rng(60 + seed)
+    pts = rng.choice([-1e308, 0.0, 1e308], (14, 2)) + rng.uniform(0, 0.2, (14, 2))
+    labels = np.where(rng.random(14) < 0.5, 1, -1)
+    r = 0.05
+    g = build_conflict_graph(Dataset(pts, labels), r)
+    with np.errstate(over="ignore"):
+        adj = oracles.conflict_adjacency(pts, labels, r)
+        best = oracles.max_separated_subset_size(pts, labels, r)
+    assert g.indptr[-1] == sum(bin(a).count("1") for a in adj) // 2
+    assert len(adv_prune(Dataset(pts, labels), r).kept) == best
+
+
 def test_conflict_requires_positive_radius():
     ds = _random_ds(1, n=6)
     with pytest.raises(ValueError):
@@ -163,23 +179,28 @@ def test_matching_is_valid():
 
 
 def _chain(m):
-    # 1-D chain L_m R_0 L_0 R_1 ... L_{m-1} R_m, spacing 0.15, so only
-    # neighbours conflict at r = 0.1.  With L_m (x = 0) listed last, the
-    # first phase matches L_i with R_i, and the second finds one augmenting
-    # path through the whole chain, far longer than the recursion limit.
+    # chain L_m R_0 L_0 R_1 ... L_{m-1} R_m along the second coordinate,
+    # spacing 0.15, so only neighbours conflict at r = 0.1.  The first
+    # coordinate is 0 throughout, so the graph's sweep order is the listing
+    # order.  With L_m (y = 0) listed last, the first phase matches L_i with
+    # R_i, and the second finds one augmenting path through the whole chain,
+    # far longer than the recursion limit.
     pos = 0.15 * np.arange(2 * m + 2)
     labels = np.where(np.arange(2 * m + 2) % 2 == 0, 1, -1)
     order = np.r_[1:2 * m + 2, 0]
-    return Dataset(pos[order, None], labels[order])
+    return Dataset(np.column_stack([np.zeros_like(pos), pos])[order], labels[order])
 
 
 def test_long_augmenting_path_does_not_recurse():
     m = 2000
     ds = _chain(m)
+    # the first phase leaves one vertex for the long path to match
+    greedy_l, _ = prune._greedy_matching(build_conflict_graph(ds, 0.1))
+    assert sum(v != -1 for v in greedy_l) == m
     pruned = adv_prune(ds, 0.1)
     assert pruned.matching_size == m + 1
     assert len(pruned.kept) == m + 1
-    kept_pos = ds.points[pruned.kept, 0]
+    kept_pos = ds.points[pruned.kept, 1]
     kept_labels = ds.labels[pruned.kept]
     close = np.abs(kept_pos[:, None] - kept_pos[None, :]) <= 0.2
     assert not np.any(close & (kept_labels[:, None] != kept_labels[None, :]))
@@ -267,9 +288,9 @@ def _random_graph(seed, nl, nr, p):
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_edge_block_boundaries_keep_pairs_and_kept(monkeypatch, block):
-    # the alternating search and the graph build cut their edge lists into
-    # blocks of prune._EDGE_BLOCK edges; with blocks of 1 and 7 edges, rows
-    # split across blocks, yet the pairs, the graph and the kept set match
+    # the alternating search cuts its edge lists into blocks of
+    # prune._EDGE_BLOCK edges; with blocks of 1 and 7 edges, rows split
+    # across blocks, yet the pairs and the kept set match
     graphs = [_random_graph(900 + s, 60, 50, p) for s, p in enumerate((0.02, 0.1, 0.4))]
     graphs += [_random_graph(910 + s, 200, 180, 3.0 / 180) for s in range(2)]
     chains = [_chain(300).subset(np.random.default_rng(s).permutation(602)) for s in range(2)]
@@ -280,10 +301,7 @@ def test_edge_block_boundaries_keep_pairs_and_kept(monkeypatch, block):
     for g in graphs:
         _assert_matches_reference(g)
     for ds, (g, pruned) in zip(data, default):
-        small = build_conflict_graph(ds, 0.1)
-        assert np.array_equal(small.indptr, g.indptr)
-        assert np.array_equal(small.indices, g.indices)
-        _assert_matches_reference(small)
+        _assert_matches_reference(g)
         assert np.array_equal(adv_prune(ds, 0.1).kept, pruned.kept)
 
 
@@ -328,6 +346,25 @@ def test_kept_count_nonincreasing_in_r():
     ds = _random_ds(17, n=45)
     sizes = [len(adv_prune(ds, r).kept) for r in (0.01, 0.05, 0.1, 0.2, 0.4)]
     assert sizes == sorted(sizes, reverse=True)
+
+
+def test_prune_invariant_under_row_order():
+    # the kept set depends only on the conflict graph, whichever maximum
+    # matching the rows' order leads to.  The graph orders each side by
+    # first coordinate, ties by index, so a permutation moves vertices only
+    # among ties; rounding the first coordinate makes many
+    rng = np.random.default_rng(51)
+    cases = [(int(rng.integers(10, 600)), float(rng.uniform(0, 0.5)),
+              float(rng.uniform(0.01, 0.3)), seed) for seed in range(60)]
+    cases.append((12000, 0.3, 0.1, 60))
+    for n, sigma, r, seed in cases:
+        ds = generate(ScenarioSpec("half_moons", n, sigma=sigma), RandomStream(seed, 2))
+        tied = Dataset(np.column_stack([np.round(ds.points[:, 0], 1), ds.points[:, 1]]), ds.labels)
+        perm = rng.permutation(n)
+        for data in (ds, tied):
+            pruned, shuffled = adv_prune(data, r), adv_prune(data.subset(perm), r)
+            assert np.array_equal(np.sort(perm[shuffled.kept]), pruned.kept)
+            assert shuffled.matching_size == pruned.matching_size
 
 
 def test_prune_deterministic():
