@@ -19,9 +19,9 @@ from .attack import (CERTIFIED_ASTUTE, FOUND, UNKNOWN, AttackBudget,
                      AttackMethodError, AttackResult, AttackTable,
                      CostGuardError, attack_all, grid_attack, resolve_attack,
                      run_attack)
-from .evaluation import (DEFAULT_SIZES, BayesGapReport, EvalReport,
-                         ProbeConfig, ProbeResult, SweepConfig, SweepResult,
-                         accuracy, bayes_gap_demo, convergence_sweep,
+from .evaluation import (DEFAULT_SIZES, BayesGapReport, ProbeConfig,
+                         ProbeResult, SweepConfig, SweepResult, accuracy,
+                         bayes_gap_demo, convergence_sweep,
                          empirical_astuteness, probe_far_weight)
 from .chart import ACCURACY_COLOR, ASTUTENESS_COLOR, sweep_chart
 
@@ -40,8 +40,8 @@ __all__ = [
     "CERTIFIED_ASTUTE", "FOUND", "UNKNOWN", "AttackBudget",
     "AttackMethodError", "AttackResult", "AttackTable", "CostGuardError",
     "attack_all", "grid_attack", "resolve_attack", "run_attack",
-    "DEFAULT_SIZES", "BayesGapReport", "EvalReport", "ProbeConfig",
-    "ProbeResult", "SweepConfig", "SweepResult", "accuracy", "bayes_gap_demo",
+    "DEFAULT_SIZES", "BayesGapReport", "ProbeConfig", "ProbeResult",
+    "SweepConfig", "SweepResult", "accuracy", "bayes_gap_demo",
     "convergence_sweep", "empirical_astuteness", "probe_far_weight",
     "ACCURACY_COLOR", "ASTUTENESS_COLOR", "sweep_chart",
 ]

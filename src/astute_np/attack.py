@@ -389,12 +389,17 @@ def grid_attack(model, x, y: int, budget: AttackBudget, resolution: float) -> At
 class AttackTable:
     """One attack method's verdict on every test point.
 
+    ``accuracy`` is the share of test points predicted correctly and
+    ``astuteness`` the share with no attack found within r (every method
+    finds a mispredicted point at radius 0).
     ``prediction``, ``outcome`` and ``radius`` have one entry per test row,
     ``witness`` one row; ``radius`` and ``witness`` are NaN where no attack
     was found.
     """
     method: str
     approximate: bool
+    accuracy: float
+    astuteness: float
     prediction: np.ndarray
     outcome: np.ndarray
     radius: np.ndarray
@@ -406,11 +411,13 @@ def attack_all(model, test: Dataset, budget: AttackBudget, method: str = "auto",
     """Attack every test point with one method.
 
     ``resolve_attack`` picks the method, so an exact method that does not
-    cover the model is rejected before any attack.
+    cover the model is rejected before any attack; so is an empty test set.
     Duplicate (point, label) rows are attacked once and their result is
     shared, which matters for discrete scenarios where the test set
     collapses to a handful of distinct points.
     """
+    if len(test) == 0:
+        raise ValueError("empty test set")
     resolved, approximate = resolve_attack(model, method)
     # every family votes row by row, so the batch prediction is the one
     # predict(x) would make
@@ -422,9 +429,12 @@ def attack_all(model, test: Dataset, budget: AttackBudget, method: str = "auto",
     results = [attack(model, test.points[i], int(test.labels[i]), int(prediction[i]),
                       budget, resolution) for i in first]
     nowhere = np.full(test.dim, np.nan)
+    outcome = np.array([res.outcome for res in results], dtype=object)[inverse]
     return AttackTable(
-        method=resolved, approximate=approximate, prediction=prediction,
-        outcome=np.array([res.outcome for res in results], dtype=object)[inverse],
+        method=resolved, approximate=approximate,
+        accuracy=float(np.mean(prediction == test.labels)),
+        astuteness=float(np.mean(outcome != FOUND)),
+        prediction=prediction, outcome=outcome,
         radius=np.array([res.radius if res.found else np.nan for res in results])[inverse],
         witness=np.array([res.witness if res.found else nowhere
                           for res in results]).reshape(-1, test.dim)[inverse])

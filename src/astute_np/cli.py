@@ -21,7 +21,7 @@ from .data import (Dataset, RandomStream, ScenarioSpec, _require_count, _write_l
 from .models import GAUSSIAN, KERNELS, MODELS, make_model
 from .attack import FOUND, METHODS, AttackBudget, AttackMethodError, attack_all
 from .evaluation import (ProbeConfig, SweepConfig, bayes_gap_demo, convergence_sweep,
-                         empirical_astuteness, probe_far_weight)
+                         probe_far_weight)
 from .chart import sweep_chart
 from .prune import adv_prune
 
@@ -317,15 +317,15 @@ def _cmd_train_eval(params: dict) -> int:
         train_ds = train_ds.subset(pruned.kept)
         lines.append(f"kept = {len(train_ds)} ({pruned.kept_fraction:.4f})")
     model = _make_model(params, train_ds)
-    report = empirical_astuteness(model, test_ds, AttackBudget(params["attack_r"]),
-                                  method=params["method"], resolution=params["resolution"])
+    table = attack_all(model, test_ds, AttackBudget(params["attack_r"]),
+                       method=params["method"], resolution=params["resolution"])
     lines += [
-        f"n_test = {report.n_test}",
-        f"accuracy = {report.accuracy:.4f}",
-        f"astuteness = {report.astuteness:.4f}",
-        f"radius = {report.r:g}",
-        f"method = {report.method}",
-        f"approximate = {str(report.approximate).lower()}",
+        f"n_test = {len(test_ds)}",
+        f"accuracy = {table.accuracy:.4f}",
+        f"astuteness = {table.astuteness:.4f}",
+        f"radius = {params['attack_r']:g}",
+        f"method = {table.method}",
+        f"approximate = {str(table.approximate).lower()}",
     ]
     print("\n".join(lines))
     if params["out"] is not None:

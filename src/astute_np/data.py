@@ -275,6 +275,4 @@ def read_csv(path) -> Dataset:
             elif len(coords) != dim:
                 raise ValueError(f"line {lineno}: dimension {len(coords)} != {dim}")
             points.append(coords)
-    if not points:
-        return Dataset(np.zeros((0, 1)), np.zeros(0, dtype=np.int8))
     return Dataset(np.array(points, dtype=float), np.array(labels, dtype=np.int8))

@@ -402,6 +402,15 @@ def test_nn1_radius_independent_of_budget():
             assert b is not None or a is None
 
 
+def test_small_lp_skips_parallel_bisectors():
+    # the strip |p_x| <= 0.5: two anti-parallel rows meet at no vertex, so
+    # the optimum is the projection onto the nearer row
+    t, p = attack_mod._small_lp(np.array([-0.9, 0.0]),
+                                np.array([[-2.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0]))
+    assert t == 0.4
+    assert np.array_equal(p, [-0.5, 0.0])
+
+
 def test_nn1_affine_map_agrees():
     """Mapping p -> scale p + shift (and r with it) changes no verdict on any
     of 200 points, and each radius only by rounding: the solver's tolerance

@@ -73,6 +73,13 @@ def test_log_scale_kicks_in_for_wide_ranges(tmp_path):
     assert wide != narrow
 
 
+def test_single_size_sits_mid_plot(tmp_path):
+    # one size spans no x range, so the axis is padded around it
+    flat = ((0.5,), (0.0,))
+    root = ET.fromstring(_chart(tmp_path, sizes=(100,), acc=flat, ast=flat))
+    assert {c.get("cx") for c in root.findall(f".//{SVG_NS}circle")} == {"340.00"}
+
+
 def test_series_validation(tmp_path):
     with pytest.raises(ValueError):
         _chart(tmp_path, sizes=(), acc=((), ()), ast=((), ()))

@@ -340,7 +340,8 @@ def test_csv_skips_blank_lines(tmp_path):
 def test_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    assert len(read_csv(path)) == 0
+    ds = read_csv(path)
+    assert len(ds) == 0 and ds.dim == 1 and ds.labels.dtype == np.int8
 
 
 # ---------------------------------------------------------------------------
