@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from .data import _write_lines
+
 ACCURACY_COLOR = "#2e7d32"
 ASTUTENESS_COLOR = "#6a1b9a"
 
@@ -124,7 +126,5 @@ def sweep_chart(sizes, acc_mean, acc_std, ast_mean, ast_std, out_path,
                    f'font-size="11">{label}</text>')
 
     out.append("</svg>")
-    svg = "\n".join(out) + "\n"
-    with open(out_path, "w") as fh:
-        fh.write(svg)
-    return svg
+    _write_lines(out_path, out)
+    return "\n".join(out) + "\n"

@@ -237,15 +237,13 @@ def write_csv(ds: Dataset, path) -> None:
     Reals are serialized with 17 significant digits so a write/read round
     trip reproduces every float64 bit-exactly.
     """
-    with open(path, "w", encoding="ascii") as fh:
-        for row, lab in zip(ds.points, ds.labels):
-            coords = ",".join(f"{v:.17g}" for v in row)
-            fh.write(f"{coords},{'+1' if lab == 1 else '-1'}\n")
+    _write_lines(path, (",".join(f"{v:.17g}" for v in row) + (",+1" if lab == 1 else ",-1")
+                        for row, lab in zip(ds.points, ds.labels)))
 
 
-def _write_lines(path, lines: list) -> None:
+def _write_lines(path, lines) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def read_csv(path) -> Dataset:

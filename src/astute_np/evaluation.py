@@ -120,12 +120,9 @@ class SweepResult:
     astuteness_std: np.ndarray
 
     def to_csv(self, path):
-        lines = [SWEEP_CSV_HEADER]
-        for i, n in enumerate(self.sizes):
-            vals = (self.accuracy_mean[i], self.accuracy_std[i],
-                    self.astuteness_mean[i], self.astuteness_std[i])
-            lines.append(f"{n}," + ",".join(f"{v:.17g}" for v in vals))
-        _write_lines(path, lines)
+        cols = (self.accuracy_mean, self.accuracy_std, self.astuteness_mean, self.astuteness_std)
+        _write_lines(path, [SWEEP_CSV_HEADER] + [f"{n}," + ",".join(f"{v:.17g}" for v in vals)
+                                                 for n, *vals in zip(self.sizes, *cols)])
 
 
 def _sweep_cell(cfg: SweepConfig, n: int, cell: int) -> tuple:

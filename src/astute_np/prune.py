@@ -10,15 +10,14 @@ construction of Koenig's theorem.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, require_positive
+from .data import Dataset, require_positive, row_blocks
 
-#: +1 points per sweep block in ``build_conflict_graph``.
-_BLOCK = 256
 #: Edges per block in ``_edge_blocks``: caps the matching's temporaries.
 _EDGE_BLOCK = 1 << 16
 
@@ -66,12 +65,12 @@ def build_conflict_graph(ds: Dataset, r: float) -> ConflictGraph:
     """Edges join opposite-label pairs at l-inf distance <= 2r (closed
     condition, no epsilon: equality is a conflict).
 
-    Both sides are in sweep order, and the +1 points are swept in blocks of
-    ``_BLOCK`` rows.  A block is tested only against its window, the run of
-    -1 points left once the prefix with ``x0min - r0 > 2r`` and the suffix
-    with ``r0 - x0max > 2r`` are cut off (``x0`` the block's first
-    coordinates, ``r0`` the -1 side's).  The edges are exactly those of the
-    dense rule ``pairwise_distances(LINF, lp, rp) <= 2r``.
+    Both sides are in sweep order, and the +1 points are swept in
+    ``row_blocks``, so a block's buffers hold at most ``BLOCK_CELLS`` cells,
+    or one row once a single row is larger.  A block is tested only against
+    its window: the -1 points whose first coordinate is within 2r of the
+    block's range.  The edges are exactly those of the dense rule
+    ``pairwise_distances(LINF, lp, rp) <= 2r``.
     """
     require_positive("r", r)
     two_r = 2.0 * r
@@ -84,14 +83,15 @@ def build_conflict_graph(ds: Dataset, r: float) -> ConflictGraph:
     # a gap between finite coordinates near the float limits may overflow to
     # inf, which exceeds 2r: no conflict, which is right, and not a warning
     with np.errstate(over="ignore"):
-        for start in range(0, len(left), _BLOCK):
-            pts = lp[start:start + _BLOCK]
+        for block in row_blocks(len(left), ds.points.size):
+            pts = lp[block]
             # r0 ascends, so the -1 points too far below the block are a
-            # prefix and those too far above it a suffix.  Each cut makes the
-            # edge test's float subtraction from the block's extreme first
-            # coordinate, and rounding is monotone, so it cuts no conflict.
-            a = np.count_nonzero(pts[0, 0] - r0 > two_r)
-            b = len(r0) - np.count_nonzero(r0 - pts[-1, 0] > two_r)
+            # prefix and those too far above it a suffix, found by bisection.
+            # Each cut makes the edge test's float subtraction from the block's
+            # extreme first coordinate, and rounding is monotone, so it cuts
+            # no conflict.
+            a = bisect_left(r0, True, key=lambda v: pts[0, 0] - v <= two_r)
+            b = bisect_left(r0, True, key=lambda v: v - pts[-1, 0] > two_r)
             cols = rp[a:b]
             gap = np.empty((len(pts), len(cols)))
             close = np.ones(gap.shape, dtype=bool)
@@ -102,7 +102,7 @@ def build_conflict_graph(ds: Dataset, r: float) -> ConflictGraph:
             # a mask walks rows in order and the columns ascend, so the run
             # is the block's rows' ascending neighbour lists, one after another
             runs.append(np.broadcast_to(np.arange(a, b, dtype=np.int32), close.shape)[close])
-            indptr[start + 1:start + 1 + len(pts)] = np.count_nonzero(close, axis=1)
+            indptr[block.start + 1:block.start + 1 + len(pts)] = np.count_nonzero(close, axis=1)
     np.cumsum(indptr, out=indptr)
     return ConflictGraph(left, right, indptr, np.concatenate(runs))
 

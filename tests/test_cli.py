@@ -486,6 +486,22 @@ def test_console_script_runs(tmp_path):
     assert len(read_csv(str(out))) == 6
 
 
+def test_module_main_runs(tmp_path):
+    # python -m astute_np.cli runs main() and exits with its code
+    pkg_root = str(Path(astute_np.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(
+        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    args = [sys.executable, "-m", "astute_np.cli", "gen", "--scenario", "example3", "--n", "3"]
+    out = tmp_path / "pts.csv"
+    proc = subprocess.run([*args, "--out", str(out)], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_csv(str(out))) == 3
+    proc = subprocess.run(args, capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 2
+
+
 @pytest.mark.skipif(shutil.which("astute-np") is None,
                     reason="astute-np not installed")
 def test_installed_console_script_runs(tmp_path):

@@ -344,6 +344,12 @@ def test_csv_empty_file(tmp_path):
     assert len(ds) == 0 and ds.dim == 1 and ds.labels.dtype == np.int8
 
 
+def test_csv_empty_dataset_writes_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int8)), path)
+    assert path.read_bytes() == b""
+
+
 # ---------------------------------------------------------------------------
 # package surface
 

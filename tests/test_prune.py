@@ -89,13 +89,14 @@ def _lattice_chain(n, d, r, offset, seed):
 @pytest.mark.parametrize("metric", [LINF])
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
 @pytest.mark.parametrize("r", [0.125, 0.1])
-def test_sweep_exact_across_blocks_and_offsets(metric, offset, r):
-    # 600 +1 points fill three 256-row blocks; with r = 0.125 the lattice is
-    # exact, so the last +1 point of a block (k = 509) meets a -1 point
-    # (k = 511) at exactly 2r, on the edge of the block's window.  With
-    # r = 0.1 at large offsets the subtractions round, and a pad relative
-    # to r would be too small.
+def test_sweep_exact_across_blocks_and_offsets(monkeypatch, metric, offset, r):
+    # BLOCK_CELLS is cut so that row_blocks makes 256-row blocks: 600 +1
+    # points fill three; with r = 0.125 the lattice is exact, so the last +1
+    # point of a block (k = 509) meets a -1 point (k = 511) at exactly 2r,
+    # on the edge of the block's window.  With r = 0.1 at large offsets the
+    # subtractions round, and a pad relative to r would be too small.
     ds = _lattice_chain(1200, 2, r, offset, seed=1)
+    monkeypatch.setattr("astute_np.data.BLOCK_CELLS", 256 * ds.points.size)
     g = _assert_sweep_exact(ds, r, metric, oracle=False)
     if r == 0.125:
         (u,), (v,) = np.flatnonzero(g.left == 509), np.flatnonzero(g.right == 511)
@@ -114,14 +115,40 @@ def test_sweep_matches_oracle(metric, offset, d):
 
 
 @pytest.mark.parametrize("metric", [LINF])
-def test_sweep_tied_first_coordinates(metric):
-    # three distinct first coordinates: every block shares them, and
-    # the windows overlap completely
+def test_sweep_tied_first_coordinates(monkeypatch, metric):
+    # three distinct first coordinates: with BLOCK_CELLS cut to make
+    # 256-row blocks, every block shares them, and the windows overlap
+    # completely
     rng = np.random.default_rng(5)
     pts = np.column_stack([0.2 * rng.integers(0, 3, 700), rng.uniform(0, 1, 700)])
     ds = Dataset(pts, np.where(rng.random(700) < 0.5, 1, -1))
+    monkeypatch.setattr("astute_np.data.BLOCK_CELLS", 256 * ds.points.size)
     _assert_sweep_exact(ds, 0.05, metric, oracle=False)
     _assert_sweep_exact(ds.subset(np.arange(90)), 0.05, metric)
+
+
+def test_sweep_block_size_does_not_change_the_graph(monkeypatch):
+    ds = generate(ScenarioSpec("half_moons", 600, sigma=0.2), RandomStream(3, 1))
+    default = build_conflict_graph(ds, 0.1)
+    assert default.indptr[-1] > 0
+    monkeypatch.setattr("astute_np.data.BLOCK_CELLS", ds.points.size)
+    one_row = build_conflict_graph(ds, 0.1)
+    for name in ("left", "right", "indptr", "indices"):
+        assert np.array_equal(getattr(one_row, name), getattr(default, name)), name
+
+
+def test_build_memory_is_bounded():
+    # noiseless half-moons have no conflict at r = 0.1, so the peak is the
+    # sweep's own buffers: row_blocks keeps each under BLOCK_CELLS cells
+    # whatever n (256-row blocks peaked near 34 MiB here)
+    ds = generate(ScenarioSpec("half_moons", 60000), RandomStream(7, 1))
+    tracemalloc.start()
+    try:
+        build_conflict_graph(ds, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("metric", [LINF])
