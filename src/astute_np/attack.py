@@ -95,8 +95,14 @@ def _attack_histogram(model: HistogramModel, x: np.ndarray, y: int, prediction,
     lo, hi = model.regions[-y]
     if len(lo) == 0:
         return AttackResult(CERTIFIED_ASTUTE)
-    gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-    dists = gap.max(axis=1)
+    # l-inf distance to each box, max(lo - x, x - hi, 0) over coordinates,
+    # one coordinate at a time so that numpy runs along the boxes; a max is
+    # exact in any order, and on a tie np.maximum keeps its second operand,
+    # the running distance, so a zero distance stays +0.0
+    dists = np.zeros(len(lo))
+    for j, xj in enumerate(x):
+        np.maximum(lo[:, j] - xj, dists, out=dists)
+        np.maximum(xj - hi[:, j], dists, out=dists)
     j = int(np.argmin(dists))
     best = float(dists[j])
     # distance 0 means x is in a closed box; in the half-open one it is
@@ -138,15 +144,32 @@ def _met(gap, l1, b, p):
     return gap <= _REL_TOL * (l1 * np.max(np.abs(p)) + np.abs(b))
 
 
-def _small_lp(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact minimizer of linf(x, p) over {A p <= b} (A is small), or
-    (inf, None) when no candidate meets every row by ``_met``."""
+def _normals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bisector normals ``2.0 * (a - b)``, one of a, b an (n, d) array and
+    the other a point, and their rows' L1 norms, filled one coordinate at a
+    time so that numpy runs along n.  Each entry is the broadcast form's
+    float, and so is each norm for d <= 7, where numpy's row sum adds in
+    column order too."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    normals = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    l1 = np.zeros(len(normals))
+    for j, col in enumerate(normals.T):
+        np.subtract(a[:, j], b[:, j], out=col)
+        col *= 2.0
+        l1 += np.abs(col)
+    return normals, l1
+
+
+def _small_lp(x: np.ndarray, A: np.ndarray, b: np.ndarray,
+              l1: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact minimizer of linf(x, p) over {A p <= b} (A is small, its rows'
+    L1 norms ``l1``), or (inf, None) when no candidate meets every row by
+    ``_met``."""
     viol = A @ x - b
     if np.all(viol <= 0.0):
         return 0.0, x.copy()
 
     cand_p = []
-    l1 = np.abs(A).sum(axis=1)
     # single-line projections
     for i in range(len(A)):
         t = max(0.0, viol[i] / l1[i])
@@ -181,16 +204,15 @@ def _polygon_linf_distance(x: np.ndarray, z: np.ndarray, same_pts: np.ndarray,
     no candidate of the working set meets its bisectors by ``_met``: the
     region always contains z, so float64 could not resolve the bisectors.
     """
-    A_full = 2.0 * (same_pts - z)
+    A_full, l1_full = _normals(same_pts, z)
     b_full = same_sq - float(z @ z)
-    l1_full = np.abs(A_full).sum(axis=1)
 
     # seed the working set with the strongest cut at x
     work = [int(np.argmax((A_full @ x - b_full) / l1_full))]
     # every pass returns or adds a bisector not yet in work, so the loop ends
     # within len(same_pts) passes
     while True:
-        t, p = _small_lp(x, A_full[work], b_full[work])
+        t, p = _small_lp(x, A_full[work], b_full[work], l1_full[work])
         if p is None:
             raise RuntimeError(
                 "exact 1-NN attack: float64 cannot resolve these nearly coincident "
@@ -233,9 +255,9 @@ def _attack_nn1(model: KnnModel, x: np.ndarray, y: int, prediction: int,
     for j in range(1, len(x)):
         d_same = np.maximum(d_same, np.abs(same_pts[:, j] - x[j]))
     s0 = same_pts[int(np.argmin(d_same))]
-    A0 = 2.0 * (s0 - zs)
+    A0, l1 = _normals(s0, zs)
     b0 = float(s0 @ s0) - zz
-    lb = np.maximum(0.0, (A0 @ x - b0) / np.abs(A0).sum(axis=1))
+    lb = np.maximum(0.0, (A0 @ x - b0) / l1)
 
     # a site with lb > r cannot be within r, so only the others are sorted;
     # their stable order is the full order's prefix

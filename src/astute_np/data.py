@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -47,11 +48,13 @@ def _require_count(name: str, value, least: int = 1):
 BLOCK_CELLS = 1 << 20
 
 
-def row_blocks(rows: int, cells_per_row: int) -> list:
+def row_blocks(rows: int, cells_per_row: int) -> Iterator[slice]:
     """Slices that cover ``range(rows)`` in order, each of at most
-    ``BLOCK_CELLS // cells_per_row`` rows and at least one."""
+    ``BLOCK_CELLS // cells_per_row`` rows and at least one; yielded one at a
+    time, so a million one-row blocks cost no list."""
     step = max(1, BLOCK_CELLS // max(1, cells_per_row))
-    return [slice(start, start + step) for start in range(0, rows, step)]
+    for start in range(0, rows, step):
+        yield slice(start, start + step)
 
 
 def pairwise_distances(metric: str, rows, cols) -> np.ndarray:

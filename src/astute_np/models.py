@@ -179,12 +179,19 @@ class HistogramModel:
         NaN ones included, map to -1.  O(depth * d) per row, no per-leaf work.
         """
         queries = as_queries(self, queries)
-        code_weight = 1 << np.arange(queries.shape[1])
+        # one coordinate at a time, so that numpy runs along the rows instead
+        # of making one short inner loop per row; the child codes and the
+        # root test are exact in any order
+        bits = 1 << np.arange(queries.shape[1])
         node = np.zeros(len(queries), dtype=np.intp)
         for _ in range(self.depth):
-            node = self.node_first[node] + (queries >= self.node_mid[node]) @ code_weight
-        inside = np.all((self.root_lo <= queries)
-                        & (queries < self.root_lo + self.root_side), axis=1)
+            mid = self.node_mid.take(node, axis=0)
+            node = self.node_first.take(node)
+            for q, m, bit in zip(queries.T, mid.T, bits):
+                node += (q >= m) * bit
+        inside = np.ones(len(queries), dtype=bool)
+        for q, lo in zip(queries.T, self.root_lo):
+            inside &= (lo <= q) & (q < lo + self.root_side)
         return np.where(inside, self.node_leaf[node], -1)
 
     @cached_property

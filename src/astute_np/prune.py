@@ -79,7 +79,9 @@ def build_conflict_graph(ds: Dataset, r: float) -> ConflictGraph:
     lp, rp = ds.points[left], ds.points[right]
     r0 = rp[:, 0]
     indptr = np.zeros(len(left) + 1, dtype=np.intp)
-    runs = [np.zeros(0, dtype=np.int32)]    # so a graph with no rows concatenates
+    # a seed run so that a graph with no edges concatenates; past it only
+    # non-empty runs are kept, as one-row blocks at large n are mostly empty
+    runs = [np.zeros(0, dtype=np.int32)]
     # a gap between finite coordinates near the float limits may overflow to
     # inf, which exceeds 2r: no conflict, which is right, and not a warning
     with np.errstate(over="ignore"):
@@ -101,7 +103,9 @@ def build_conflict_graph(ds: Dataset, r: float) -> ConflictGraph:
             del gap     # before the next block allocates its own
             # a mask walks rows in order and the columns ascend, so the run
             # is the block's rows' ascending neighbour lists, one after another
-            runs.append(np.broadcast_to(np.arange(a, b, dtype=np.int32), close.shape)[close])
+            run = np.broadcast_to(np.arange(a, b, dtype=np.int32), close.shape)[close]
+            if len(run):
+                runs.append(run)
             indptr[block.start + 1:block.start + 1 + len(pts)] = np.count_nonzero(close, axis=1)
     np.cumsum(indptr, out=indptr)
     return ConflictGraph(left, right, indptr, np.concatenate(runs))

@@ -318,3 +318,49 @@ def random_two_class(rng, n: int, d: int = 2, box: float = 1.0):
     if np.all(labels == labels[0]):
         labels[rng.integers(0, n)] *= -1
     return pts, labels
+
+
+# ---------------------------------------------------------------------------
+# Row-wise forms of the library's per-point steps.  The library computes
+# these one coordinate at a time; these are the whole-array formulas it
+# replaced, and each must give the same bits.
+
+
+def histogram_attack_rowwise(model, x, y: int, r: float):
+    """The exact histogram attack on ``model.regions[-y]`` as whole-array
+    formulas over the ``(boxes, d)`` bounds: ``(outcome, radius, witness)``
+    with outcome "found" or "certified_astute", and radius and witness None
+    when certified."""
+    lo, hi = model.regions[-y]
+    if len(lo) == 0:
+        return "certified_astute", None, None
+    gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+    dists = gap.max(axis=1)
+    j = int(np.argmin(dists))
+    best = float(dists[j])
+    if best == 0.0 and np.any(np.all(x < hi[dists == 0.0], axis=1)):
+        return "found", 0.0, x.copy()
+    if best <= r:
+        return "found", best, np.minimum(np.maximum(x, lo[j]), np.nextafter(hi[j], -np.inf))
+    return "certified_astute", None, None
+
+
+def leaf_index_rowwise(model, queries) -> np.ndarray:
+    """``HistogramModel.leaf_index`` as the whole-array descent: each step's
+    child code is a matrix product of the ``(rows, d)`` comparison with the
+    bit weights, and the root test reduces each row with ``np.all``."""
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    code_weight = 1 << np.arange(queries.shape[1])
+    node = np.zeros(len(queries), dtype=np.intp)
+    for _ in range(model.depth):
+        node = model.node_first[node] + (queries >= model.node_mid[node]) @ code_weight
+    inside = np.all((model.root_lo <= queries)
+                    & (queries < model.root_lo + model.root_side), axis=1)
+    return np.where(inside, model.node_leaf[node], -1)
+
+
+def normals_rowwise(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Bisector normals ``2 (a - b)`` by broadcasting, and their L1 norms by
+    a row sum."""
+    normals = 2.0 * (np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+    return normals, np.abs(normals).sum(axis=1)

@@ -25,8 +25,11 @@ def _random_ds(seed, n, d=2):
     return Dataset(pts, labels)
 
 
-def _check_witness(model, res, x, y, budget, slack=1e-4):
-    """FOUND results must carry a real adversarial example at the radius."""
+def _check_witness(model, res, x, y, budget, slack=None):
+    """FOUND results must carry a real adversarial example at the radius, at
+    most ``slack`` (by default a millionth of r) beyond it."""
+    if slack is None:
+        slack = 1e-6 * budget.r
     assert res.found
     assert predict(model, res.witness) != y
     dist = oracles.linf(res.witness, x)
@@ -223,6 +226,60 @@ def test_histogram_attack_matches_brute_force_radius(d):
                     assert res.radius == pytest.approx(want, abs=1e-12)
 
 
+def _same_bits(a, b):
+    """Equal as float64 bytes, so signed zeros must match too; None only
+    equals None."""
+    if a is None or b is None:
+        return a is None and b is None
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("root_lo, root_side", [(-1.0, 2.0), (-0.0, 1.0)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_histogram_attack_matches_rowwise_formula(d, root_lo, root_side):
+    # the root [-1, 1)^d puts the first split's faces at +0.0 and the root
+    # [-0.0, 1)^d puts its low faces at -0.0; queries at +-0.0 then make
+    # signed-zero gaps.  The queries also sit on leaf corners and one ulp to
+    # either side, and outside the root, where the +-inf exterior slabs are
+    # the nearest boxes
+    rng = np.random.default_rng(20 + d)
+    model = train_histogram(_random_ds(30 + d, n=60, d=d), kn=3,
+                            root=(np.full(d, root_lo), root_side))
+    corners = np.concatenate([model.leaf_lo, model.leaf_hi])
+    # every corner again with the sign of its zero coordinates flipped
+    corners = np.concatenate([corners, np.where(corners == 0.0, -corners, corners)])
+    zeros = np.array(list(itertools.product([0.0, -0.0], repeat=d)))
+    mixed = rng.uniform(-0.2, 1.2, (20, d))
+    mixed[:, 0] = np.where(np.arange(20) % 2, 0.0, -0.0)
+    queries = np.concatenate([corners, np.nextafter(corners, -np.inf),
+                              np.nextafter(corners, np.inf), zeros, mixed,
+                              rng.uniform(-1.6, 1.6, (60, d))])
+    for x in queries:
+        for y in (1, -1):
+            for r in (0.05, 0.5):
+                res = run_attack(model, x, y, AttackBudget(r), "histogram")
+                outcome, radius, witness = oracles.histogram_attack_rowwise(model, x, y, r)
+                assert res.outcome == outcome
+                assert _same_bits(res.radius, radius)
+                assert _same_bits(res.witness, witness)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_normals_match_rowwise_formula(d):
+    # signed zeros, equal coordinates and magnitudes from 1e-6 to 1e6, so the
+    # norms round; for d <= 7 numpy's row sum adds in column order too
+    rng = np.random.default_rng(60 + d)
+    pts = rng.normal(size=(300, d)) * 10.0 ** rng.integers(-6, 7, (300, d))
+    pts[rng.random((300, d)) < 0.2] = 0.0
+    pts[rng.random((300, d)) < 0.2] = -0.0
+    pts[5] = pts[4]
+    for a, b in ((pts, pts[4]), (pts[4], pts), (pts, -pts[7]), (-0.0 * pts[9], pts)):
+        normals, l1 = attack_mod._normals(a, b)
+        want_normals, want_l1 = oracles.normals_rowwise(a, b)
+        assert _same_bits(normals, want_normals)
+        assert _same_bits(l1, want_l1)
+
+
 def test_histogram_tie_low_face_before_high_face():
     ds = Dataset(np.array([[0.1], [0.9]]), np.array([1, 1]))
     model = train_histogram(ds, root=(np.array([0.0]), 1.0))
@@ -405,8 +462,8 @@ def test_nn1_radius_independent_of_budget():
 def test_small_lp_skips_parallel_bisectors():
     # the strip |p_x| <= 0.5: two anti-parallel rows meet at no vertex, so
     # the optimum is the projection onto the nearer row
-    t, p = attack_mod._small_lp(np.array([-0.9, 0.0]),
-                                np.array([[-2.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0]))
+    t, p = attack_mod._small_lp(np.array([-0.9, 0.0]), np.array([[-2.0, 0.0], [2.0, 0.0]]),
+                                np.array([1.0, 1.0]), np.array([2.0, 2.0]))
     assert t == 0.4
     assert np.array_equal(p, [-0.5, 0.0])
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from astute_np import (L2, LINF, MOON_SCALE, AttackBudget, Dataset, KernelModel,
                        bayes_gap_demo, build_conflict_graph, example1_posterior,
                        generate, grid_attack, pairwise_distances, read_csv,
                        train_histogram, train_kernel, train_knn, write_csv)
+
+from astute_np.data import BLOCK_CELLS, row_blocks
 
 import oracles
 from oracles import distance, min_interclass_distance
@@ -80,6 +83,22 @@ def test_pairwise_row_blocks_match_whole_tensor(monkeypatch, d):
     monkeypatch.setattr("astute_np.data.BLOCK_CELLS", 4 * cols.size)
     for m in (L2, LINF):
         assert np.array_equal(pairwise_distances(m, rows, cols), whole[m])
+
+
+def test_row_blocks_cover_rows_in_bounded_memory():
+    # one row per block: a list of the 300,000 slices would peak at about
+    # 37 MiB (18.4 MiB for 150,200), and the generator holds one at a time
+    tracemalloc.start()
+    try:
+        end = 0
+        for block in row_blocks(300_000, BLOCK_CELLS + 1):
+            assert block.start == end and block.stop == end + 1
+            end = block.stop
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert end == 300_000
+    assert peak < 2 ** 20
 
 
 def test_pairwise_rejects_dimension_mismatch():

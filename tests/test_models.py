@@ -110,7 +110,7 @@ def test_knn_tie_rule_across_row_blocks(monkeypatch, d, k):
     queries = rng.integers(-5, 6, (50, d)) / 2.0
     model = train_knn(ds, k=k)
     monkeypatch.setattr("astute_np.data.BLOCK_CELLS", 7 * pts.size)
-    assert len(row_blocks(len(queries), pts.size)) == 8
+    assert len(list(row_blocks(len(queries), pts.size))) == 8
     batch = weights_batch(model, queries)
     for q, row in zip(queries, batch):
         assert np.array_equal(row, oracles.knn_weights_oracle(pts, q, k))
@@ -442,7 +442,11 @@ def test_histogram_leaves_numbered_depth_first(d):
 
 def _assert_leaf_index_matches_tree_walk(model, queries):
     walked = oracles.histogram_walk_leaves(model, queries)
-    assert model.leaf_index(queries).tolist() == walked
+    leaves = model.leaf_index(queries)
+    assert leaves.tolist() == walked
+    # the column-by-column descent gives what the whole-array one gave
+    rowwise = oracles.leaf_index_rowwise(model, queries)
+    assert leaves.dtype == rowwise.dtype and np.array_equal(leaves, rowwise)
     assert np.array_equal(predict_batch(model, queries),
                           [1 if leaf >= 0 and model.leaf_vote[leaf] > 0 else -1
                            for leaf in walked])
@@ -514,6 +518,7 @@ def test_histogram_non_finite_queries_are_outside(d):
     assert model.leaf_index(queries).tolist() == [-1] * len(queries)
     assert predict_batch(model, queries).tolist() == [-1] * len(queries)
     assert oracles.histogram_walk_leaves(model, queries) == [-1] * len(queries)
+    assert oracles.leaf_index_rowwise(model, queries).tolist() == [-1] * len(queries)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
