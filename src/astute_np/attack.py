@@ -76,7 +76,9 @@ class AttackResult:
 # ---------------------------------------------------------------------------
 # Each method is one row (model, x, y, prediction, budget, resolution) ->
 # AttackResult of ``_ATTACKS``.  Its callers pass a finite x in the model's
-# dimension, y in {+1, -1} and the model's label at x as ``prediction``.
+# dimension and y in {+1, -1}.  ``prediction`` is the model's label at x for
+# the 1-NN row; the histogram row never reads it, and the grid row takes
+# None to mean "not predicted yet" and predicts x in its own scan.
 #
 # histogram attack
 
@@ -311,8 +313,8 @@ def _lattice(steps: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, ends
 
 
-def _attack_grid(model, x: np.ndarray, y: int, prediction: int, budget: AttackBudget,
-                 resolution: float) -> AttackResult:
+def _attack_grid(model, x: np.ndarray, y: int, prediction: Optional[int],
+                 budget: AttackBudget, resolution: float) -> AttackResult:
     """Scan the l-inf ball on a regular grid, nearest shells first.
 
     FOUND on the first misprediction in (shell radius, lexicographic) order,
@@ -325,6 +327,13 @@ def _attack_grid(model, x: np.ndarray, y: int, prediction: int, budget: AttackBu
     ends, so one ``predict_batch`` call takes at most one shell plus
     ``_GRID_CHUNK - 1`` points.  Predictions are per row, so the first
     misprediction of a chunk is the first in scan order.
+
+    ``prediction`` is x's label when the caller has it: a mismatch is FOUND
+    at radius 0 and the scan starts at shell 1.  With None the scan starts
+    at shell 0, so x is the first chunk's row 0 and costs no predict call
+    of its own.  Either way a misprediction at x returns a copy of x itself
+    at radius 0.  The chunk ends are the same both ways, since a shell end
+    (2k + 1)^d is odd and so never equals ``_GRID_CHUNK``.
     """
     d = x.shape[0]
     if not 0 < resolution <= budget.r:
@@ -336,11 +345,11 @@ def _attack_grid(model, x: np.ndarray, y: int, prediction: int, budget: AttackBu
             f"grid of {total} points exceeds cap {_GRID_MAX_POINTS}; "
             "coarsen the resolution")
 
-    if prediction != y:
+    if prediction is not None and prediction != y:
         return AttackResult(FOUND, witness=x.copy(), radius=0.0)
 
     offsets, ends = _lattice(steps, d)
-    start = ends[0]
+    start = 0 if prediction is None else ends[0]
     while start < len(offsets):
         # the end of the first shell that brings the chunk to _GRID_CHUNK
         # points, or of the last shell
@@ -348,8 +357,9 @@ def _attack_grid(model, x: np.ndarray, y: int, prediction: int, budget: AttackBu
         queries = x + offsets[start:stop] * resolution
         hits = np.flatnonzero(predict_batch(model, queries) != y)
         if len(hits):
-            # a copy, not a view that would keep the whole chunk alive
-            w = queries[hits[0]].copy()
+            # a copy, not a view that would keep the whole chunk alive; a
+            # hit on x copies x, since x + 0 * resolution turns -0.0 into +0.0
+            w = x.copy() if start + hits[0] == 0 else queries[hits[0]].copy()
             return AttackResult(FOUND, witness=w, radius=float(np.max(np.abs(w - x))))
         start = stop
     return AttackResult(UNKNOWN)
@@ -389,16 +399,16 @@ def run_attack(model, x, y: int, budget: AttackBudget, method: str = "auto",
     """Attack one point with the method ``resolve_attack`` picks.  Every
     attack reports a misprediction at x as FOUND at radius 0.  A label
     other than +1 or -1, or an x that is not one finite point in the
-    model's dimension, raises ValueError before any attack runs."""
+    model's dimension, raises ValueError before any attack runs.  Only the
+    1-NN row gets a prediction of x from here; the histogram row never
+    reads one, and the grid predicts x in its first chunk."""
     method, _ = resolve_attack(model, method)
     if y not in (1, -1):
         raise ValueError(f"label must be +1 or -1, got {y!r}")
     x = as_queries(model, np.ravel(x))[0]
     if not np.isfinite(x).all():
         raise ValueError("query must be finite")
-    # the histogram row never reads the prediction, and a histogram predict
-    # costs more than the whole attack
-    prediction = None if method == "histogram" else predict(model, x)
+    prediction = predict(model, x) if method == "nn1" else None
     return _ATTACKS[method](model, x, y, prediction, budget, resolution)
 
 

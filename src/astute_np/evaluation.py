@@ -15,7 +15,6 @@ than b.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -158,6 +157,9 @@ def convergence_sweep(cfg: SweepConfig) -> SweepResult:
     if workers == 1:
         results = [_sweep_cell(cfg, n, c) for n, c in jobs]
     else:
+        # imported here, not at the top: only a parallel sweep needs the
+        # pool, and its modules slow every import of the package
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, [cfg] * len(jobs),
                                     [n for n, _ in jobs], [c for _, c in jobs]))

@@ -68,6 +68,77 @@ MUTANTS = [
      "if len(run):",
      "if len(run) > 1:",
      "tests/test_prune.py::test_sweep_block_size_does_not_change_the_graph"),
+    # the grid scan skips shell 0 when the caller did not predict x
+    ("attack.py",
+     "start = 0 if prediction is None else ends[0]",
+     "start = ends[0]",
+     "tests/test_attack.py::test_grid_mispredicted_x_is_found_in_the_first_chunk[knn3]"),
+    # a hit on x returns the lattice point x + 0 * resolution, whose -0.0
+    # coordinates read +0.0
+    ("attack.py",
+     "w = x.copy() if start",
+     "w = queries[hits[0]].copy() if start",
+     "tests/test_attack.py::test_grid_mispredicted_x_is_found_in_the_first_chunk[knn3]"),
+    # the histogram attack drops a box at distance exactly r
+    ("attack.py",
+     "if best <= budget.r:\n        # clip",
+     "if best < budget.r:\n        # clip",
+     "tests/test_attack.py::test_histogram_exterior_low_face"),
+    # the histogram witness sits on the box's open upper face, in the next box
+    ("attack.py",
+     "np.nextafter(hi[j], -np.inf)",
+     "hi[j]",
+     "tests/test_attack.py::test_histogram_exterior_low_face"),
+    # a tied vote predicts +1
+    ("models.py",
+     "np.where(votes > 0, 1, -1)",
+     "np.where(votes >= 0, 1, -1)",
+     "tests/test_models.py::test_prediction_sign_rule"),
+    # the leaf descent sends a query on a split plane to the lower child
+    ("models.py",
+     "node += (q >= m) * bit",
+     "node += (q > m) * bit",
+     "tests/test_models.py::test_histogram_leaf_index_matches_tree_walk[2-0.0]"),
+    # k-NN ties on the k-th distance no longer go to the lowest index
+    ("models.py",
+     'np.argsort(dist, axis=1, kind="stable")',
+     'np.argsort(dist, axis=1, kind="quicksort")',
+     "tests/test_models.py::test_knn_tie_rule_across_row_blocks[2-3]"),
+    # kernel weights without the row max shifted out underflow far away
+    ("models.py",
+     "w -= w.max(axis=1, keepdims=True)",
+     "pass",
+     "tests/test_models.py::test_kernel_far_query_does_not_underflow"),
+    # 1-NN sites in lexicographic order, not training order
+    ("models.py",
+     "first = np.sort(np.unique(self.train.points, axis=0, return_index=True)[1])",
+     "first = np.unique(self.train.points, axis=0, return_index=True)[1]",
+     "tests/test_models.py::test_knn_by_label_is_the_cached_label_split"),
+    # row blocks one row longer than BLOCK_CELLS allows
+    ("data.py",
+     "step = max(1, BLOCK_CELLS // max(1, cells_per_row))",
+     "step = 1 + BLOCK_CELLS // max(1, cells_per_row)",
+     "tests/test_models.py::test_knn_tie_rule_across_row_blocks[1-1]"),
+    # the conflict test drops pairs at distance exactly 2r
+    ("prune.py",
+     "close &= np.abs(gap, out=gap) <= two_r",
+     "close &= np.abs(gap, out=gap) < two_r",
+     "tests/test_prune.py::test_conflict_at_exactly_two_r"),
+    # the sweep window's low cut drops -1 points exactly 2r below the block
+    ("prune.py",
+     "pts[0, 0] - v <= two_r",
+     "pts[0, 0] - v < two_r",
+     "tests/test_prune.py::test_sweep_exact_across_blocks_and_offsets[0.125-0.0-linf]"),
+    # the sweep window's high cut drops -1 points exactly 2r above the block
+    ("prune.py",
+     "v - pts[-1, 0] > two_r",
+     "v - pts[-1, 0] >= two_r",
+     "tests/test_prune.py::test_conflict_at_exactly_two_r"),
+    # the greedy phase matches each left vertex to its highest free neighbour
+    ("prune.py",
+     "v = int(free[0])",
+     "v = int(free[-1])",
+     "tests/test_prune.py::test_matching_matches_reference_special_graphs"),
 ]
 
 

@@ -589,14 +589,14 @@ def _record_scan_rows(monkeypatch) -> list:
 
 def test_grid_moons_hist_scan_is_one_call(monkeypatch):
     # perfbench's moons_hist scan: histogram, r 0.09 at resolution 8e-3, so
-    # 529 lattice points; shells 1 to 10 hold 440 of them, so shells 1 to 11
-    # go in one call, not one call per shell
+    # 529 lattice points; shells 0 to 10 hold 441 of them, so shells 0 to 11
+    # go in one call, x included, not one call per shell
     model = _moons_model("histogram")
     rows = _record_scan_rows(monkeypatch)
     # every point far outside the root cube predicts -1, so the scan is clean
     res = grid_attack(model, [10.0, 10.0], -1, AttackBudget(0.09), resolution=8e-3)
     assert res.outcome == UNKNOWN
-    assert rows == [528]
+    assert rows == [529]
 
 
 @pytest.mark.parametrize("d, resolution", [(1, 1e-4), (2, 0.004), (3, 0.012)])
@@ -606,10 +606,10 @@ def test_grid_chunks_are_whole_shells(monkeypatch, d, resolution):
     res = grid_attack(model, np.full(d, 0.5), 1, AttackBudget(0.12), resolution)
     assert res.outcome == UNKNOWN
     offsets, ends = _lattice(int(0.12 / resolution + 1e-9), d)
-    assert len(rows) > 2 and sum(rows) == len(offsets) - 1
+    assert len(rows) > 2 and sum(rows) == len(offsets)
     # each chunk ends on a shell boundary, holds at least _GRID_CHUNK rows
     # unless it is the last, and less than that before its last shell
-    chunk_ends = 1 + np.cumsum(rows)
+    chunk_ends = np.cumsum(rows)
     shell_of_end = np.searchsorted(ends, chunk_ends)
     assert np.array_equal(ends[shell_of_end], chunk_ends)
     assert all(n >= attack_mod._GRID_CHUNK for n in rows[:-1])
@@ -647,6 +647,72 @@ def test_grid_cost_guard_builds_no_lattice():
         grid_attack(_constant_plus_model(), [0.5, 0.5], 1, AttackBudget(1.0),
                     resolution=1e-4)
     assert _lattice.cache_info().currsize == 0
+
+
+def test_grid_checks_come_before_predicting_a_mispredicted_x(monkeypatch):
+    model = _constant_plus_model()
+    rows = _record_scan_rows(monkeypatch)
+    with pytest.raises(CostGuardError):
+        grid_attack(model, [0.5, 0.5], -1, AttackBudget(1.0), resolution=1e-4)
+    with pytest.raises(ValueError):
+        grid_attack(model, [0.5, 0.5], -1, AttackBudget(0.1), resolution=0.2)
+    assert rows == []
+
+
+@pytest.mark.parametrize("family", ["histogram", "kernel", "knn3"])
+def test_grid_mispredicted_x_is_found_in_the_first_chunk(monkeypatch, family):
+    """Without the caller's prediction x is row 0 of the first chunk: a
+    misprediction there is FOUND at radius 0 with x's own bits, a -0.0
+    coordinate included, and the scan makes that one predict_batch call."""
+    ds = _random_ds(7, n=30)
+    model = {"histogram": train_histogram, "kernel": lambda d: train_kernel(d, h=0.08),
+             "knn3": lambda d: train_knn(d, k=3)}[family](ds)
+    rows = _record_scan_rows(monkeypatch)
+    for x in ([-0.0, 0.4], [0.6, -0.0], [0.3, 0.7]):
+        x = np.array(x)
+        rows.clear()
+        res = grid_attack(model, x, -predict(model, x), AttackBudget(0.1), 0.01)
+        assert res.found and res.radius == 0.0
+        assert res.witness.tobytes() == x.tobytes()
+        assert np.array_equal(np.signbit(res.witness), np.signbit(x))
+        assert res.witness.base is None
+        assert rows == [21 ** 2]
+
+
+def test_run_attack_predicts_x_alone_only_for_nn1(monkeypatch):
+    """The histogram row never reads x's label and the grid predicts x in
+    its scan, so only the 1-NN row gets a one-row predict."""
+    class OneRowPredict(Exception):
+        pass
+
+    def refuse(model, x):
+        raise OneRowPredict
+
+    hist, nn1 = _moons_model("histogram"), _moons_model("nn1")
+    monkeypatch.setattr(attack_mod, "predict", refuse)
+    budget = AttackBudget(0.05)
+    for x in ([0.2, 0.1], [0.9, 0.4]):
+        for y in (1, -1):
+            run_attack(hist, x, y, budget, "histogram")
+            for model in (hist, nn1):
+                run_attack(model, x, y, budget, "grid", resolution=0.01)
+                grid_attack(model, x, y, budget, resolution=0.01)
+    with pytest.raises(OneRowPredict):
+        run_attack(nn1, [0.2, 0.1], 1, budget, "nn1")
+
+
+def test_attack_all_grid_scans_no_mispredicted_row(monkeypatch):
+    """``attack_all`` hands the grid its batch prediction: a mispredicted
+    row is FOUND with no scan, and a scanned row starts at shell 1."""
+    model = _constant_plus_model()     # +1 everywhere
+    test = Dataset(np.array([[0.5, 0.5], [0.3, 0.6], [0.4, 0.4]]), np.array([-1, -1, 1]))
+    rows = _record_scan_rows(monkeypatch)
+    table = attack_all(model, test, AttackBudget(0.1), method="grid", resolution=0.05)
+    assert list(table.outcome) == [FOUND, FOUND, UNKNOWN]
+    assert np.array_equal(table.radius[:2], [0.0, 0.0])
+    assert np.array_equal(table.witness[:2], test.points[:2])
+    # the batch predict, then the one clean row's shells 1 and 2
+    assert rows == [3, 5 ** 2 - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Evaluation layer: astuteness reports, convergence sweeps, far-weight probes."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +232,20 @@ def test_sweep_parallel_matches_serial(monkeypatch):
     assert np.array_equal(serial.accuracy_std, parallel.accuracy_std)
     assert np.array_equal(serial.astuteness_mean, parallel.astuteness_mean)
     assert np.array_equal(serial.astuteness_std, parallel.astuteness_std)
+
+
+def test_import_loads_no_process_pool():
+    # only a parallel sweep starts a pool, so a fresh import of the package
+    # leaves its modules unloaded
+    pkg_root = str(Path(evaluation.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, astute_np; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_prune_path(monkeypatch):
