@@ -7,13 +7,14 @@ never labels), and the predicted label is +1 exactly when the weighted label
 sum is positive.  A weighted sum of zero, including the all-zero weight
 vector a histogram emits outside its root cell, predicts -1.  k-NN and
 kernel distances are Euclidean (L2).  Models are frozen: the tables derived
-from them (``HistogramModel.regions``, ``KnnModel.by_label``) are cached on
-first use.
+from them (``HistogramModel.regions``, ``KnnModel.by_label`` and
+``KnnModel.by_first``) are cached on first use.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -50,6 +51,19 @@ def default_cell_threshold(n: int) -> int:
 # k-nearest-neighbor
 
 
+#: fewest finite query rows that take the tiled search; smaller batches,
+#: single rows included, take the brute pass.  On pruned half-moons (n
+#: 2,600, spread queries, the sort built per call) the two broke even at
+#: 16 to 24 rows
+_TILE_MIN_QUERIES = 32
+
+#: training points per tile, were they spread evenly over their bounding cube
+_TILE_POINTS = 8
+
+#: the least cut, 2^-511: the square of any larger gap is a normal float
+_CUT_FLOOR = 2.0 ** -511
+
+
 @dataclass(frozen=True)
 class KnnModel:
     train: Dataset
@@ -70,6 +84,14 @@ class KnnModel:
             split[y] = (p, (p * p).sum(axis=1))
         return split
 
+    @cached_property
+    def by_first(self) -> tuple:
+        """``(index, points, lo, hi)``: the training rows sorted by first
+        coordinate, ties by index, and the training set's bounding box."""
+        pts = self.train.points
+        order = np.argsort(pts[:, 0], kind="stable")
+        return order, pts[order], pts.min(axis=0), pts.max(axis=0)
+
 
 def train_knn(ds: Dataset, k: int = 1) -> KnnModel:
     if len(ds) == 0:
@@ -80,20 +102,112 @@ def train_knn(ds: Dataset, k: int = 1) -> KnnModel:
 def _knn_neighbor_rows(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     """Indices of the k nearest training points per query row, shape (m, k).
 
-    Ties on the k-th distance go to the lowest training index: ``argmin``
-    returns the first minimum, and a stable argsort keeps index order among
-    equal distances.  Both read the same distance values.  The queries run
-    in row blocks of at most ``data.BLOCK_CELLS`` difference entries, so
-    memory does not grow with the query count.
+    Ties on the k-th distance go to the lowest training index.  Batches of
+    fewer than ``_TILE_MIN_QUERIES`` finite rows, and every row with a NaN
+    or infinite coordinate, take the brute pass over all training points;
+    the other rows take ``_knn_tiled``, which returns the same indices.
     """
-    train = model.train.points
-    out = np.empty((len(queries), model.k), dtype=np.intp)
-    for block in row_blocks(len(queries), train.size):
-        dist = pairwise_distances(L2, queries[block], train)
-        if model.k == 1:
-            out[block, 0] = dist.argmin(axis=1)
+    train, k = model.train.points, model.k
+    if len(queries) >= _TILE_MIN_QUERIES:
+        finite = np.isfinite(queries).all(axis=1)
+        if np.count_nonzero(finite) >= _TILE_MIN_QUERIES:
+            out = np.empty((len(queries), k), dtype=np.intp)
+            out[~finite] = _nearest(queries[~finite], train, k)[0]
+            out[finite] = _knn_tiled(model, queries[finite])
+            return out
+    return _nearest(queries, train, k)[0]
+
+
+def _nearest(queries: np.ndarray, points: np.ndarray, k: int, kth: bool = False):
+    """Row indices into ``points`` of each query's k nearest, shape (m, k),
+    and with ``kth`` each query's k-th smallest distance (else None).
+
+    ``argmin`` returns the first minimum, and a stable argsort keeps index
+    order among equal distances; both read the same distance values.  The
+    queries run in row blocks of at most ``data.BLOCK_CELLS`` difference
+    entries, so memory does not grow with the query count.
+    """
+    rows = np.empty((len(queries), k), dtype=np.intp)
+    far = np.empty(len(queries)) if kth else None
+    for block in row_blocks(len(queries), points.size):
+        dist = pairwise_distances(L2, queries[block], points)
+        if k == 1:
+            rows[block, 0] = dist.argmin(axis=1)
         else:
-            out[block] = np.argsort(dist, axis=1, kind="stable")[:, :model.k]
+            rows[block] = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        if kth:
+            far[block] = dist[np.arange(len(dist)), rows[block, -1]]
+    return rows, far
+
+
+def _knn_tiled(model: KnnModel, queries: np.ndarray) -> np.ndarray:
+    """``_knn_neighbor_rows`` for finite query rows, found through tiles.
+
+    The queries are bucketed into cubes of side s = the training set's
+    largest extent times (``_TILE_POINTS`` / n)^(1/d), or one tile when
+    that is 0.  With [lo, hi] the bounding box of a tile's queries, the
+    window of width w holds the training points t with ``lo_j - t_j <= w``
+    and ``t_j - hi_j <= w`` in every coordinate j: the sorted first
+    coordinate gives a slice, and the other coordinates filter it.  The
+    first window has w = s plus the tile's gap to the training box, doubled
+    until it holds k points.  The k nearest of its points, searched in
+    training-index order, give K = the tile's largest k-th distance, and
+    the cut U = max(K, ``_CUT_FLOOR``).  When the window of width U holds
+    more points than the first, it is searched again the same way.
+
+    Why the indices are the brute pass's, ties included.  Let t fall outside
+    the window of width U, say with lo_j - t_j > U.  Each query q of the
+    tile has q_j >= lo_j, and rounding is monotone, so the float gap g =
+    q_j - t_j that ``pairwise_distances`` computes is >= lo_j - t_j > U
+    (the upper side alike: t_j - q_j >= t_j - hi_j, and the square drops
+    the sign).  The squared distance is a float sum of nonnegative squares,
+    so it is at least fl(g^2), and the distance at least fl(sqrt(fl(g^2))).
+    In binary floating point that is g itself, as g > 2^-511 keeps g^2
+    from underflowing, or inf when g^2 overflows.  So t lies strictly
+    beyond every query's k-th distance, which is at most K <= U: it is
+    neither among the k nearest nor tied with the k-th.  Every searched
+    window holds all the points within the cut, and a ``pairwise_distances``
+    entry is the same whatever the block and the columns, so ``argmin`` and
+    the stable argsort pick the brute pass's indices.
+    """
+    order, by_first, box_lo, box_hi = model.by_first
+    first = by_first[:, 0].tolist()
+    train, k = model.train.points, model.k
+    n, d = train.shape
+    side = float((box_hi - box_lo).max()) * (_TILE_POINTS / n) ** (1.0 / d) or math.inf
+
+    def window(lo, hi, w) -> np.ndarray:
+        lo0, hi0 = float(lo[0]), float(hi[0])
+        a = bisect_left(first, True, key=lambda v: lo0 - v <= w)
+        b = bisect_left(first, True, key=lambda v: v - hi0 > w, lo=a)
+        rest = by_first[a:b, 1:]
+        keep = ((lo[1:] - rest <= w) & (rest - hi[1:] <= w)).all(axis=1)
+        return np.sort(order[a:b][keep])
+
+    out = np.empty((len(queries), k), dtype=np.intp)
+    # gaps between finite coordinates near the float limits may overflow to
+    # inf, which only merges tiles or widens a window
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = np.floor((queries - queries.min(axis=0)) / side)
+        by_tile = np.lexsort(cells.T)
+        cells = cells[by_tile]
+        starts = np.flatnonzero((cells[1:] != cells[:-1]).any(axis=1)) + 1
+        bounds = np.concatenate([[0], starts])
+        tile_lo = np.minimum.reduceat(queries[by_tile], bounds)
+        tile_hi = np.maximum.reduceat(queries[by_tile], bounds)
+        # no window narrower than the tile's gap to the training box holds a point
+        gap = np.maximum(tile_lo - box_hi, box_lo - tile_hi).max(axis=1)
+        for rows, lo, hi, w in zip(np.split(by_tile, starts), tile_lo, tile_hi,
+                                   (side + np.maximum(gap, 0.0)).tolist()):
+            tile = queries[rows]
+            while len(idx := window(lo, hi, w)) < k:
+                w *= 2.0
+            near, far = _nearest(tile, train[idx], k, kth=True)
+            cut = max(float(far.max()), _CUT_FLOOR)
+            # a wider window holds the narrower one, so the same count is the same set
+            if cut > w and len(wide := window(lo, hi, cut)) > len(idx):
+                idx, near = wide, _nearest(tile, train[wide], k)[0]
+            out[rows] = idx[near]
     return out
 
 

@@ -139,6 +139,45 @@ MUTANTS = [
      "v = int(free[0])",
      "v = int(free[-1])",
      "tests/test_prune.py::test_matching_matches_reference_special_graphs"),
+    # the 1-NN attack skips a site whose lower bound equals r
+    ("attack.py",
+     "near = np.flatnonzero(lb <= budget.r)",
+     "near = np.flatnonzero(lb < budget.r)",
+     "tests/test_attack.py::test_nn1_finds_a_site_whose_bound_is_exactly_r"),
+    # the tiled k-NN window drops a point exactly on the cut: below the tile
+    # in the first coordinate, above it, then the same in the others
+    ("models.py",
+     "lo0 - v <= w",
+     "lo0 - v < w",
+     "tests/test_models.py::test_knn_tiled_cut_keeps_a_point_at_exactly_the_cut[low-0]"),
+    ("models.py",
+     "v - hi0 > w",
+     "v - hi0 >= w",
+     "tests/test_models.py::test_knn_tiled_cut_keeps_a_point_at_exactly_the_cut[high-0]"),
+    ("models.py",
+     "(lo[1:] - rest <= w)",
+     "(lo[1:] - rest < w)",
+     "tests/test_models.py::test_knn_tiled_cut_keeps_a_point_at_exactly_the_cut[low-1]"),
+    ("models.py",
+     "(rest - hi[1:] <= w)",
+     "(rest - hi[1:] < w)",
+     "tests/test_models.py::test_knn_tiled_cut_keeps_a_point_at_exactly_the_cut[high-1]"),
+    # a tile is never searched past its first window
+    ("models.py",
+     "if cut > w and len(wide",
+     "if False and len(wide",
+     "tests/test_models.py::test_knn_tiled_cut_keeps_a_point_at_exactly_the_cut[low-0]"),
+    # the cut has no floor, so a gap whose square underflows is dropped
+    ("models.py",
+     "cut = max(float(far.max()), _CUT_FLOOR)",
+     "cut = float(far.max())",
+     "tests/test_models.py::test_knn_tiled_cut_floor_keeps_gaps_whose_squares_underflow"),
+    # a window's candidates in first-coordinate order: ties no longer go to
+    # the lowest index
+    ("models.py",
+     "return np.sort(order[a:b][keep])",
+     "return order[a:b][keep]",
+     "tests/test_models.py::test_knn_tie_rule_across_row_blocks[2-1]"),
 ]
 
 

@@ -326,6 +326,17 @@ def test_nn1_certifies_below_bisector_distance():
     assert res.outcome == CERTIFIED_ASTUTE
 
 
+def test_nn1_finds_a_site_whose_bound_is_exactly_r():
+    # the bisector x_0 = 1 lies exactly r = 0.25 from x, so the -1 site's
+    # lower bound equals r and the site must still be solved
+    ds = Dataset(np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([1, -1]))
+    model = train_knn(ds, k=1)
+    x, budget = np.array([0.75, 0.0]), AttackBudget(0.25)
+    res = run_attack(model, x, 1, budget, "nn1")
+    assert res.radius == 0.25
+    _check_witness(model, res, x, 1, budget)
+
+
 @pytest.mark.parametrize("path", ["run_attack", "attack_all"])
 def test_nn1_no_opposite_label_certifies(path):
     """With no -1 training point, every y = +1 point is certified and every

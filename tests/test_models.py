@@ -15,7 +15,8 @@ from astute_np import (CERTIFIED_ASTUTE, GAUSSIAN, INVERSE_POLY, PLATEAU_EXAMPLE
                        make_model, predict, predict_batch, run_attack, train_histogram,
                        train_kernel, train_knn, weights, weights_batch)
 from astute_np.data import row_blocks
-from astute_np.models import KERNELS, log_kernel
+from astute_np.models import (_TILE_MIN_QUERIES, _TILE_POINTS, KERNELS, _knn_neighbor_rows,
+                              _nearest, log_kernel)
 
 import oracles
 
@@ -103,7 +104,8 @@ def test_knn_batch_matches_scalar():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_knn_tie_rule_across_row_blocks(monkeypatch, d, k):
     # integer training points and half-integer queries: many exact ties,
-    # coincident training points included
+    # coincident training points included.  The whole batch takes the tiled
+    # search, its head the brute pass
     rng = np.random.default_rng(90 + 10 * d + k)
     pts = rng.integers(-2, 3, (40, d)).astype(float)
     ds = Dataset(pts, np.where(rng.random(40) < 0.5, 1, -1))
@@ -111,25 +113,156 @@ def test_knn_tie_rule_across_row_blocks(monkeypatch, d, k):
     model = train_knn(ds, k=k)
     monkeypatch.setattr("astute_np.data.BLOCK_CELLS", 7 * pts.size)
     assert len(list(row_blocks(len(queries), pts.size))) == 8
+    assert len(queries) >= _TILE_MIN_QUERIES
     batch = weights_batch(model, queries)
     for q, row in zip(queries, batch):
         assert np.array_equal(row, oracles.knn_weights_oracle(pts, q, k))
+    head = queries[:_TILE_MIN_QUERIES - 1]
+    assert np.array_equal(weights_batch(model, head), batch[:len(head)])
     assert np.array_equal(predict_batch(model, queries),
                           [predict(model, q) for q in queries])
     assert weights_batch(model, np.zeros((0, d))).shape == (0, 40)
     assert predict_batch(model, np.zeros((0, d))).shape == (0,)
 
 
-@pytest.mark.parametrize("family", ["knn", GAUSSIAN, PLATEAU_EXAMPLE3, INVERSE_POLY,
-                                    "histogram"])
+def _tile_side(pts) -> float:
+    """The side of the tiled k-NN search's tiles for training points ``pts``."""
+    n, d = pts.shape
+    return float(np.ptp(pts, axis=0).max()) * (_TILE_POINTS / n) ** (1.0 / d)
+
+
+@pytest.mark.parametrize("layout", ["spread", "one tile", "duplicates", "far", "coincident"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_knn_tiled_search_matches_brute_pass(d, k, layout):
+    # training points on a lattice of step 1/8 and queries on one of step
+    # 1/256: exact ties, coincident training points included
+    rng = np.random.default_rng(100 + 10 * d + k)
+    pts = rng.integers(0, 9, (200, d)) / 8.0
+    if layout == "coincident":
+        # extent 0, so all queries share one tile
+        pts = np.full((200, d), 0.5)
+    side = _tile_side(pts)
+    m = 40
+    if layout == "spread":
+        # a lattice of step above the side: one query per tile, some of them
+        # outside the training box
+        steps = int(np.ceil(m ** (1.0 / d)))
+        step = (np.floor(side * 16) + 1) / 16
+        queries = step * np.stack(np.meshgrid(*[np.arange(steps)] * d), -1).reshape(-1, d)
+    elif layout == "one tile":
+        queries = 0.25 + rng.integers(0, int(side * 256), (m, d)) / 256
+    elif layout == "duplicates":
+        queries = (rng.integers(0, 17, (5, d)) / 16)[rng.integers(0, 5, m)]
+    elif layout == "far":
+        # most queries 64 out in some coordinate, so that a first window of
+        # the tile side alone would be empty
+        queries = rng.integers(0, 17, (m, d)) / 16 + 64.0 * rng.integers(-1, 2, (m, d))
+    else:
+        queries = rng.integers(0, 257, (m, d)) / 256
+    assert len(queries) >= _TILE_MIN_QUERIES
+    model = train_knn(Dataset(pts, np.where(rng.random(200) < 0.5, 1, -1)), k=k)
+    assert np.array_equal(_knn_neighbor_rows(model, queries), _nearest(queries, pts, k)[0])
+    for q, row in zip(queries, weights_batch(model, queries)):
+        assert np.array_equal(row, oracles.knn_weights_oracle(pts, q, k))
+    assert np.array_equal(predict_batch(model, queries),
+                          [predict(model, q) for q in queries])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_knn_tiled_indices_equal_brute_pass_random(seed):
+    # lattices of random step and offset: ties and coincident points at
+    # every scale; k up to 5
+    rng = np.random.default_rng(seed)
+    d, k = int(rng.integers(1, 4)), int(rng.choice([1, 3, 5]))
+    n, m = int(rng.integers(1, 120)), int(rng.integers(_TILE_MIN_QUERIES, 90))
+    step = np.ldexp(1.0, int(rng.integers(-30, 30)))
+    pts = step * rng.integers(-6, 7, (n, d)) + step * 4
+    queries = step / 2 * rng.integers(-20, 21, (m, d)) + step * 4
+    model = train_knn(Dataset(pts, np.where(rng.random(n) < 0.5, 1, -1)), k=k)
+    assert np.array_equal(_knn_neighbor_rows(model, queries),
+                          _nearest(queries, pts, model.k)[0])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("upper", [False, True], ids=["low", "high"])
+def test_knn_tiled_cut_keeps_a_point_at_exactly_the_cut(axis, upper):
+    # 9 * _TILE_POINTS points of extent 1 make the tile side 1/3.  Along
+    # ``axis`` the tile's queries sit at 0.5 and 0.625, c = 0.875 enters
+    # the first window (gap 0.25) and t = 0.125 does not (gap 0.375).
+    # Query 0.5 is 0.375 from both, so the cut is 0.375, and t, exactly on
+    # the cut and first in index, must win the tie.  ``upper`` mirrors the
+    # axis, so that t lies above the tile
+    n = 9 * _TILE_POINTS
+    along = np.concatenate([[0.125, 0.875], np.linspace(0.0, 1.0, n - 2)])
+    # the other points lie 0.5 off the queries' line, beyond every window
+    across = np.concatenate([[0.5, 0.5], np.resize([0.0, 1.0], n - 2)])
+    queries = np.repeat([[0.5, 0.5], [0.625, 0.5]], _TILE_MIN_QUERIES // 2, axis=0)
+    pts = np.column_stack([along, across])
+    if upper:
+        pts[:, 0], queries[:, 0] = 1.0 - pts[:, 0], 1.0 - queries[:, 0]
+    if axis:
+        pts, queries = pts[:, ::-1].copy(), queries[:, ::-1].copy()
+    assert _tile_side(pts) == pytest.approx(1 / 3)
+    model = train_knn(Dataset(pts, np.where(np.arange(n) == 0, 1, -1)), k=1)
+    assert _knn_neighbor_rows(model, queries)[:, 0].tolist() == (
+        [0] * (len(queries) // 2) + [1] * (len(queries) // 2))
+    assert predict_batch(model, queries)[0] == 1
+
+
+def test_knn_tiled_cut_floor_keeps_gaps_whose_squares_underflow():
+    # t = 0 and 15 copies of c = 2^-1000: the square of their gap underflows
+    # to 0, so queries at c are at distance 0 from t too, and t, first in
+    # index, is their nearest.  The tile side 2^-1001 keeps t out of the
+    # first window, and all the queries' distances in it are 0
+    pts = np.array([[0.0]] + [[2.0 ** -1000]] * 15)
+    queries = np.full((_TILE_MIN_QUERIES, 1), 2.0 ** -1000)
+    assert _tile_side(pts) == 2.0 ** -1001
+    model = train_knn(Dataset(pts, np.where(np.arange(16) == 0, 1, -1)), k=1)
+    assert _nearest(queries, pts, 1)[0][:, 0].tolist() == [0] * len(queries)
+    assert _knn_neighbor_rows(model, queries)[:, 0].tolist() == [0] * len(queries)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_knn_non_finite_queries_match_the_one_row_result(d):
+    # a NaN or infinite coordinate makes every distance NaN or inf, in the
+    # brute pass whatever the batch
+    ds = _random_ds(60 + d, n=100, d=d)
+    bad = []
+    for value in (np.nan, np.inf, -np.inf):
+        bad.append(np.full(d, value))
+        for j in range(d):
+            q = np.full(d, 0.5)
+            q[j] = value
+            bad.append(q)
+    finite = np.random.default_rng(d).random((_TILE_MIN_QUERIES, d))
+    below = np.concatenate([bad, finite[:3]])
+    above = np.concatenate([finite[:5], bad, finite[5:]])
+    assert len(below) < _TILE_MIN_QUERIES <= len(above) - len(bad)
+    for k in (1, 3):
+        model = train_knn(ds, k=k)
+        for queries in (below, above):
+            for q, row in zip(queries, weights_batch(model, queries)):
+                assert np.array_equal(row, weights(model, q))
+            assert np.array_equal(predict_batch(model, queries),
+                                  [predict(model, q) for q in queries])
+
+
+@pytest.mark.parametrize("family", ["knn", "knn_one_tile", GAUSSIAN, PLATEAU_EXAMPLE3,
+                                    INVERSE_POLY, "histogram"])
 def test_predict_batch_memory_is_bounded(family):
     # the full (2000, 3000, 2) difference tensor alone would take 96 MB, and
     # one (2000, 3000) kernel weight matrix 46 MB
     rng = np.random.default_rng(95)
     ds = Dataset(rng.random((3000, 2)), np.where(rng.random(3000) < 0.5, 1, -1))
-    model = (make_model(family, ds) if family in ("knn", "histogram")
-             else make_model("kernel", ds, kernel=family))
+    model = (make_model("kernel", ds, kernel=family) if family in KERNELS
+             else make_model(family.removesuffix("_one_tile"), ds))
     queries = rng.random((2000, 2))
+    if family == "knn_one_tile":
+        # one tile far from the data, whose window holds every training
+        # point: the tile's distance pass must run in row blocks too
+        queries = 10.0 + 1e-3 * queries
     tracemalloc.start()
     try:
         predict_batch(model, queries)

@@ -9,6 +9,7 @@ import pytest
 
 from astute_np import (AttackBudget, Dataset, adv_prune, attack_all, train_histogram,
                        train_kernel, train_knn)
+from astute_np.models import _TILE_MIN_QUERIES, _knn_neighbor_rows
 
 import oracles
 
@@ -22,9 +23,12 @@ def _outputs(d: int, e: int) -> dict:
     rng = np.random.default_rng(70 + d)
     sets = [oracles.random_two_class(rng, n, d) for n in (300, 40)]
     train, test = [Dataset(np.ldexp(pts, e), labels) for pts, labels in sets]
+    # enough queries for the tiled k-NN search: its tiles and cuts scale too
+    queries = np.ldexp(rng.uniform(-0.2, 1.2, (2 * _TILE_MIN_QUERIES, d)), e)
     budget = AttackBudget(float(np.ldexp(0.1, e)))
     hist = train_histogram(train)
-    out = {"kept": adv_prune(train, budget.r).kept, "leaves": len(hist.leaf_lo)}
+    out = {"kept": adv_prune(train, budget.r).kept, "leaves": len(hist.leaf_lo),
+           "neighbours": [_knn_neighbor_rows(train_knn(train, k=k), queries) for k in (1, 3)]}
     tables = {"histogram": attack_all(hist, test, budget)}
     if d == 2:
         tables["nn1"] = attack_all(train_knn(train, k=1), test, budget)
@@ -45,7 +49,9 @@ def test_outputs_commute_with_power_of_two_rescaling(d, e):
     want, got = _outputs(d, 0), _outputs(d, e)
     assert np.array_equal(got["kept"], want["kept"])
     assert got["leaves"] == want["leaves"]
-    for name in want.keys() - {"kept", "leaves"}:
+    for rows, want_rows in zip(got["neighbours"], want["neighbours"]):
+        assert np.array_equal(rows, want_rows)
+    for name in want.keys() - {"kept", "leaves", "neighbours"}:
         outcome, *arrays = got[name]
         assert outcome == want[name][0], name
         for array, want_array in zip(arrays, want[name][1:]):
